@@ -19,12 +19,15 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 from . import bounds, fixtures, model, perturb, series, solver
 from .specfun import ConvergenceError, DomainError
+
+DIGITS = 12  # significant digits of floats in csv and markdown output
 
 
 @dataclass
@@ -34,12 +37,10 @@ class RunConfig:
     l: Optional[int] = None
     alpha: float = 4.0
     lambdas: List[float] = field(default_factory=list)
-    order: int = 3
     basis_cap: int = 2048
     tol: float = 1e-11
     fmt: str = "csv"
     out: Optional[str] = None
-    digits: int = 12
 
     def resolved_A(self) -> float:
         if self.l is not None:
@@ -47,9 +48,9 @@ class RunConfig:
         return float(self.A if self.A is not None else 12.0)
 
 
-def _fmt_num(x, digits):
+def _fmt_num(x):
     if isinstance(x, float):
-        return ("%%.%dg" % digits) % x
+        return "%.*g" % (DIGITS, x)
     return str(x)
 
 
@@ -58,14 +59,14 @@ def _emit(rows, columns, cfg: RunConfig, summary: dict) -> str:
     if cfg.fmt == "csv":
         buf.write(",".join(columns) + "\n")
         for row in rows:
-            buf.write(",".join(_fmt_num(row.get(c, ""), cfg.digits)
-                               for c in columns) + "\n")
+            buf.write(",".join(_fmt_num(row.get(c, "")) for c in columns)
+                      + "\n")
     elif cfg.fmt == "json":
         doc = {
             "command": cfg.command,
             "config": {
                 "A": cfg.resolved_A(), "alpha": cfg.alpha,
-                "lambdas": cfg.lambdas, "order": cfg.order,
+                "lambdas": cfg.lambdas,
                 "basis_cap": cfg.basis_cap, "tol": cfg.tol,
             },
             "rows": rows,
@@ -78,7 +79,7 @@ def _emit(rows, columns, cfg: RunConfig, summary: dict) -> str:
         buf.write("| " + " | ".join(columns) + " |\n")
         buf.write("|" + "|".join("---" for _ in columns) + "|\n")
         for row in rows:
-            buf.write("| " + " | ".join(_fmt_num(row.get(c, ""), cfg.digits)
+            buf.write("| " + " | ".join(_fmt_num(row.get(c, ""))
                                         for c in columns) + " |\n")
     return buf.getvalue()
 
@@ -216,9 +217,9 @@ def cmd_solve(cfg: RunConfig):
         rows.append({
             "lambda": lam, "gamma": params.gamma,
             "energy": res.ground_energy, "basis_size": res.basis_size,
-            "converged": res.converged, "delta": res.delta_last_refinement,
+            "delta": res.delta_last_refinement,
         })
-    cols = ["lambda", "gamma", "energy", "basis_size", "converged", "delta"]
+    cols = ["lambda", "gamma", "energy", "basis_size", "delta"]
     return rows, cols, 0
 
 
@@ -288,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=float, default=4.0)
         p.add_argument("--lambda", dest="lam", type=float, action="append",
                        default=None, help="perturbation coupling (repeatable)")
-        p.add_argument("--order", type=int, default=3, choices=(1, 2, 3))
         p.add_argument("--basis-cap", type=int, default=2048)
         p.add_argument("--tol", type=float, default=1e-11)
         p.add_argument("--format", dest="fmt", default="csv",
@@ -299,10 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args) -> RunConfig:
     lambdas = args.lam if args.lam is not None else []
+    if not all(map(math.isfinite, lambdas + [args.alpha, args.A or 0.0])):
+        raise DomainError("A, alpha and lambda must be finite")
     if any(lam < 0.0 for lam in lambdas):
         raise DomainError("all lambda values must be >= 0")
     return RunConfig(command=args.command, A=args.A, l=args.l,
-                     alpha=args.alpha, lambdas=lambdas, order=args.order,
+                     alpha=args.alpha, lambdas=lambdas,
                      basis_cap=args.basis_cap, tol=args.tol, fmt=args.fmt,
                      out=args.out)
 

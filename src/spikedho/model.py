@@ -6,9 +6,11 @@ with the exactly solvable unperturbed part H0 = -d^2/dx^2 + x^2 + A/x^2.
 The unperturbed eigenfunctions psi_n and energies 4n + 2*gamma, with
 gamma = 1 + sqrt(1+4A)/2, form the working basis; this module supplies the
 basis, the perturbation matrix elements V_nm = (psi_n, x^-alpha psi_m)
-(general hypergeometric form and the closed forms for alpha in {2,4,6}),
-the first-order wavefunction correction phi1, and the quadrature scheme
-used for inner products on the half-line.
+(tables as V = B B^T from the Laguerre connection formula for every alpha
+with 2*gamma > alpha; the elementwise hypergeometric form and the closed
+forms for alpha in {2,4,6} as references), the first-order wavefunction
+correction phi1, and the quadrature scheme for inner products on the
+half-line.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import (DomainError, digamma, ln_gamma, ln_pochhammer,
-                      trigamma)
+from .specfun import (DomainError, _leggauss_cached, digamma, ln_gamma,
+                      ln_pochhammer, trigamma)
 
 CLOSED_FORM_ALPHAS = (2, 4, 6)
 
@@ -40,6 +42,9 @@ def gamma_from_A(A: float) -> float:
 
 
 def make_params(A: float, alpha: float, lam: float) -> OscillatorParams:
+    if not all(map(math.isfinite, (A, alpha, lam))):
+        raise DomainError("A, alpha and lambda must be finite: %r, %r, %r"
+                          % (A, alpha, lam))
     if A < 0.0:
         raise DomainError("constraint A >= 0 violated: A = %g" % A)
     if alpha <= 0.0:
@@ -161,36 +166,34 @@ class MatrixElementTable:
 
 
 def matrix_element_table(alpha: float, gamma: float, size: int) -> MatrixElementTable:
-    """Build the symmetric N x N table, vectorized for the closed-form
-    alphas, elementwise hypergeometric otherwise."""
+    """Symmetric N x N table V = B B^T, for any alpha with 2*gamma > alpha.
+
+    With h = alpha/2 the Laguerre connection formula (DLMF 18.18(iii))
+    gives B = S D1 T D2^(1/2): S = diag((-1)^n),
+    D1 = diag(sqrt(n!/Gamma(n+gamma))), T_nk = (h)_(n-k)/(n-k)!
+    lower-triangular Toeplitz and D2 = diag(Gamma(k+gamma-h)/k!); for
+    h > 0 every summand is positive.  The diagonals are running products
+    of ratios, so nothing overflows or cancels at large n.
+    """
     if size < 1:
         raise DomainError("table size must be >= 1")
-    g = gamma
-    if alpha in CLOSED_FORM_ALPHAS:
-        _closed_gamma_check(int(alpha), gamma)
-        idx = np.arange(size, dtype=float)
-        ii, jj = np.meshgrid(idx, idx, indexing="ij")
-        lo, hi = np.minimum(ii, jj), np.maximum(ii, jj)
-        half = np.exp(0.5 * (ln_gamma(hi + 1.0) + ln_gamma(g + lo)
-                             - ln_gamma(lo + 1.0) - ln_gamma(g + hi)))
-        sign = np.where((ii + jj) % 2 == 0, 1.0, -1.0)
-        if alpha == 2:
-            vals = math.exp(ln_gamma(g - 1.0) - ln_gamma(g)) * sign * half
-        elif alpha == 4:
-            vals = (math.exp(ln_gamma(g - 2.0) - ln_gamma(g + 1.0)) * sign * half
-                    * (g * (hi - lo + 1.0) + 2.0 * lo))
-        else:
-            bracket = ((2.0 + hi) * (1.0 + hi) * g * (g + 1.0)
-                       - 2.0 * lo * (1.0 + hi) * (g - 3.0) * (g + 1.0)
-                       - lo * (1.0 - lo) * (g - 2.0) * (g - 3.0))
-            vals = (math.exp(ln_gamma(g - 3.0) - ln_gamma(g + 2.0)) * sign * half
-                    * bracket / 2.0)
-    else:
-        vals = np.empty((size, size))
-        for i in range(size):
-            for j in range(i + 1):
-                vals[i, j] = vals[j, i] = matrix_element_general(i, j, alpha, g)
-    return MatrixElementTable(size=size, alpha=float(alpha), gamma=g, values=vals)
+    if not 2.0 * gamma > alpha:
+        raise DomainError("matrix elements need 2*gamma > alpha")
+    h = alpha / 2.0
+    k = np.arange(1.0, size)
+    # sqrt((gamma)_n/n!), sqrt((gamma-h)_k/k!) * sqrt(Gamma(gamma-h)/Gamma(gamma))
+    # and t_m = (h)_m/m!, each a running product of ratios
+    root_p = np.cumprod(np.sqrt(np.r_[1.0, (gamma - 1.0 + k) / k]))
+    root_q = np.cumprod(np.sqrt(np.r_[math.exp(ln_gamma(gamma - h) - ln_gamma(gamma)),
+                                      (gamma - h - 1.0 + k) / k]))
+    t = np.cumprod(np.r_[1.0, (h - 1.0 + k) / k])
+    # T[n, k] = t[n-k] for k <= n, else 0: a view of the zero-padded t
+    toeplitz = np.lib.stride_tricks.sliding_window_view(
+        np.r_[np.zeros(size - 1), t], size)[:, ::-1]
+    sign = np.where(np.arange(size) % 2, -1.0, 1.0)
+    b = toeplitz * (sign / root_p)[:, None] * root_q
+    return MatrixElementTable(size=size, alpha=float(alpha), gamma=gamma,
+                              values=b @ b.T)
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +313,6 @@ def phi1_weighted_overlap(alpha: int, gamma: float, beta: float) -> float:
 # so both the x^(2 gamma - 1 - alpha) small-x behavior (with log factors)
 # and the Gaussian decay are resolved.
 # ---------------------------------------------------------------------------
-
-def _leggauss_cached(order, _cache={}):
-    if order not in _cache:
-        _cache[order] = np.polynomial.legendre.leggauss(order)
-    return _cache[order]
-
 
 def half_line_nodes(x_min: float = 1e-20, x_max: float = 35.0,
                     panel_width: float = 0.25, order: int = 16):

@@ -18,7 +18,6 @@ from .specfun import ConvergenceError, DomainError
 class SpectrumResult:
     eigenvalues: np.ndarray        # ascending, at the final basis size
     basis_size: int
-    converged: bool
     delta_last_refinement: float   # estimated remaining truncation error
     ground_energy: float           # tail-corrected ground eigenvalue
 
@@ -28,7 +27,7 @@ def build_hamiltonian(params: model.OscillatorParams, n_basis: int) -> np.ndarra
     if n_basis < 1:
         raise DomainError("basis size must be >= 1")
     table = model.matrix_element_table(params.alpha, params.gamma, n_basis)
-    h = params.lam * table.values.copy()
+    h = params.lam * table.values
     diag = 4.0 * np.arange(n_basis) + 2.0 * params.gamma
     h[np.diag_indices(n_basis)] += diag
     return h
@@ -97,7 +96,6 @@ def ground_state(params: model.OscillatorParams, tol: float = 1e-11,
             ground, cert = _extrapolate(ladder)
             if cert < tol:
                 return SpectrumResult(eigenvalues=vals, basis_size=n,
-                                      converged=True,
                                       delta_last_refinement=cert,
                                       ground_energy=ground)
         if n >= basis_cap:

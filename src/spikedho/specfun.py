@@ -9,6 +9,7 @@ interface.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -259,10 +260,9 @@ def _log_term_ratio(lnk, kcap, kref: float, num, den, s: float):
     return out
 
 
-def _leggauss_cached(order, _cache={}):
-    if order not in _cache:
-        _cache[order] = np.polynomial.legendre.leggauss(order)
-    return _cache[order]
+@functools.lru_cache(maxsize=None)
+def _leggauss_cached(order):
+    return np.polynomial.legendre.leggauss(order)
 
 
 def _unit_sum_em(spec: HypergeometricSpec) -> float:

@@ -63,9 +63,11 @@ def test_markdown_format(capsys):
 def test_solve_command(capsys):
     code, out = run(["solve", "--l", "3", "--lambda", "0.001"], capsys)
     assert code == 0
-    row = out.strip().splitlines()[1].split(",")
+    header, line = out.strip().splitlines()
+    assert header == "lambda,gamma,energy,basis_size,delta"
+    row = line.split(",")
     assert abs(float(row[2]) - 9.00011427912) < 1e-9
-    assert row[4] == "True"
+    assert float(row[4]) < 1e-11
 
 
 def test_multiple_lambdas(capsys):
@@ -87,8 +89,20 @@ def test_domain_error_exit_code(capsys):
     assert main(["coeffs", "--A", "0"]) == 2   # 2*gamma <= alpha
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--A", "12", "--lambda", "nan"],
+    ["bounds", "--A", "12", "--lambda", "inf"],
+    ["coeffs", "--A", "nan"],
+    ["table2", "--alpha", "nan"],
+])
+def test_non_finite_input_exit_code(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_parser_defaults():
     args = build_parser().parse_args(["bounds"])
+    assert not hasattr(args, "order")
     assert args.alpha == 4.0
     assert args.tol == 1e-11
     assert args.fmt == "csv"

@@ -31,6 +31,16 @@ def test_make_params_constraints():
     model.make_params(3.0, 4.0, 0.1)
 
 
+@pytest.mark.parametrize("A,alpha,lam", [
+    (math.nan, 4.0, 0.1), (math.inf, 4.0, 0.1),
+    (12.0, math.nan, 0.1), (12.0, math.inf, 0.1),
+    (12.0, 4.0, math.nan), (12.0, 4.0, math.inf),
+])
+def test_make_params_rejects_non_finite(A, alpha, lam):
+    with pytest.raises(DomainError):
+        model.make_params(A, alpha, lam)
+
+
 def test_effective_A_examples():
     assert model.effective_A(0.0, 3, 3) == 12.0
     assert model.effective_A(0.0, 0, 1) == 0.0
@@ -91,14 +101,41 @@ def test_general_form_noninteger_alpha_quadrature():
 
 
 def test_matrix_element_table_matches_elementwise():
-    for alpha, gamma in ((2, 3.0), (4, 4.5), (6, 8.0), (2.5, 4.0)):
+    for alpha, gamma in ((2, 3.0), (4, 4.5), (6, 8.0), (4, 51.5)):
         table = model.matrix_element_table(alpha, gamma, 12)
         assert np.max(np.abs(table.values - table.values.T)) < 1e-13
-        if alpha in model.CLOSED_FORM_ALPHAS:
-            for i in (0, 3, 11):
-                for j in (0, 7):
-                    assert abs(table.values[i, j]
-                               - model.matrix_element_closed(i, j, int(alpha), gamma)) < 1e-13
+        for i in (0, 3, 11):
+            for j in (0, 7):
+                ref = model.matrix_element_closed(i, j, int(alpha), gamma)
+                assert abs(table.values[i, j] - ref) < 1e-13
+                assert abs(table.values[i, j] - ref) <= 1e-13 * abs(ref)
+    for alpha, gamma in ((2.5, 4.0), (1.3, 4.0), (3.0, 4.5)):
+        table = model.matrix_element_table(alpha, gamma, 12)
+        assert np.max(np.abs(table.values - table.values.T)) < 1e-13
+        for i in range(12):
+            for j in range(12):
+                ref = model.matrix_element_general(i, j, alpha, gamma)
+                assert abs(table.values[i, j] - ref) <= 1e-13 * abs(ref)
+
+
+def test_matrix_element_table_large_basis_vs_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    table = model.matrix_element_table(2, 1.5, 2048).values
+
+    def exact(i, j):
+        # alpha = 2 closed form, lo = min(i, j), hi = max(i, j):
+        # (-1)^(i+j) sqrt(hi! Gamma(gamma+lo) / (lo! Gamma(gamma+hi))) / (gamma-1)
+        gamma = mpmath.mpf(3) / 2
+        lo, hi = min(i, j), max(i, j)
+        return ((-1) ** (i + j) / (gamma - 1) * mpmath.sqrt(
+            mpmath.factorial(hi) * mpmath.gamma(gamma + lo)
+            / (mpmath.factorial(lo) * mpmath.gamma(gamma + hi))))
+
+    with mpmath.workdps(30):
+        for i, j in ((0, 0), (0, 2047), (1023, 1023), (700, 1900),
+                     (2047, 1500), (2047, 2047)):
+            ref = exact(i, j)
+            assert abs((table[i, j] - ref) / ref) < 1e-13
 
 
 def test_matrix_element_domain():
@@ -108,6 +145,11 @@ def test_matrix_element_domain():
         model.matrix_element_closed(0, 0, 3, 4.5)
     with pytest.raises(DomainError):
         model.matrix_element_general(0, 0, 4.0, 2.0)
+    for alpha, gamma in ((4, 2.0), (2, 1.0), (3.0, 1.2), (6, 3.0)):
+        with pytest.raises(DomainError):
+            model.matrix_element_table(alpha, gamma, 4)
+    with pytest.raises(DomainError):
+        model.matrix_element_table(4, 4.5, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ bounds for generalized spiked harmonic oscillators
     H = -d^2/dx^2 + x^2 + A/x^2 + lambda / x^alpha   on (0, inf).
 """
 
-from .bounds import (BoundReport, bound_pair, bound_report, mu_norm, n1,
-                     optimal_bounds, residual_integral, variational_upper)
+from .bounds import (BoundReport, bound_report, residual_integral,
+                     variational_upper)
 from .model import (MatrixElementTable, OscillatorParams, basis_energy,
                     basis_eval, effective_A, make_params,
                     matrix_element_closed, matrix_element_general,

@@ -11,17 +11,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from . import model, perturb
 from .specfun import ConvergenceError, DomainError
 
 
-def n1(lam: float, phi1_norm_sq: float) -> float:
-    """Normalization constant of the truncated first-order trial state."""
-    if phi1_norm_sq < 0.0:
-        raise DomainError("phi1_norm_sq must be >= 0")
-    return 1.0 / math.sqrt(1.0 + lam * lam * phi1_norm_sq)
+def _third_order_coefficients(params: model.OscillatorParams
+                              ) -> perturb.PerturbationCoefficients:
+    co = perturb.coefficients(params)
+    if co.valid_order < 3 or co.phi1_norm_sq is None:
+        raise DomainError(
+            "third-order coefficients unavailable at alpha=%g, gamma=%g "
+            "(need alpha in (2, 4, 6) with admissible gamma)"
+            % (params.alpha, params.gamma))
+    return co
 
 
 def variational_upper(params: model.OscillatorParams,
@@ -34,15 +38,12 @@ def variational_upper(params: model.OscillatorParams,
     Rayleigh quotient of the trial state psi0 + lam phi1 and therefore a
     guaranteed upper bound.
     """
-    co = perturb.coefficients(params)
-    if co.valid_order < 3 or co.phi1_norm_sq is None:
-        raise DomainError(
-            "variational upper estimate needs third-order coefficients "
-            "(alpha in (2,4,6) with admissible gamma)")
+    co = _third_order_coefficients(params)
     lam = params.lam
+    if not normalized:
+        return co.energy(lam, 3)
     correction = lam * lam * co.eps2 + lam ** 3 * co.eps3
-    if normalized:
-        correction /= 1.0 + lam * lam * co.phi1_norm_sq
+    correction /= 1.0 + lam * lam * co.phi1_norm_sq
     return co.E0 + lam * co.eps1 + correction
 
 
@@ -65,71 +66,6 @@ def residual_integral(alpha: int, gamma: float) -> float:
             + e1 * e1 * model.phi1_weighted_overlap(alpha, gamma, 0.0))
 
 
-def mu_norm(params: model.OscillatorParams, p: int) -> float:
-    """Residual norm ||(H - E_p) N1 (psi0 + lam phi1)||.
-
-    Expanding the residual in the unperturbed eigenbasis gives
-
-        ||mu_p||^2 = N1^2 lam^4 R + Delta_p^2
-                     - 2 N1^2 Delta_p lam^2 (eps2 + lam eps3),
-
-    with Delta_p = sum_{i=2..p} lam^i eps_i (so Delta_1 = 0), R the
-    residual integral, and N1 the trial-state normalization.  The cross
-    terms use (psi0, (V-eps1) phi1) = eps2 and (phi1, (V-eps1) phi1) = eps3
-    exactly.
-    """
-    if p not in (1, 2, 3):
-        raise DomainError("order p must be 1, 2 or 3")
-    a, g, lam = int(params.alpha), params.gamma, params.lam
-    co = perturb.coefficients(params)
-    if co.phi1_norm_sq is None:
-        raise DomainError("mu_norm needs the phi1 norm (alpha < gamma + 2)")
-    R = residual_integral(a, g)
-    n1sq = 1.0 / (1.0 + lam * lam * co.phi1_norm_sq)
-    if p == 1:
-        delta = 0.0
-    else:
-        if co.valid_order < p:
-            raise DomainError("order %d coefficients unavailable here" % p)
-        delta = lam * lam * co.eps2
-        if p == 3:
-            delta += lam ** 3 * co.eps3
-    if p == 1:
-        radicand = n1sq * lam ** 4 * R
-    else:
-        if co.valid_order < 3:
-            raise DomainError("mu_norm for p >= 2 needs eps3")
-        radicand = (n1sq * lam ** 4 * R + delta * delta
-                    - 2.0 * n1sq * delta * lam * lam
-                    * (co.eps2 + lam * co.eps3))
-    if radicand < 0.0:
-        raise ConvergenceError(
-            "negative residual-norm radicand (%g): inconsistent coefficients"
-            % radicand)
-    return math.sqrt(radicand)
-
-
-def bound_pair(params: model.OscillatorParams, p: int) -> Tuple[float, float]:
-    """Symmetric bounds (E_p - ||mu||, E_p + ||mu||)."""
-    ep = perturb.energy_series(params, p)
-    mu = mu_norm(params, p)
-    return ep - mu, ep + mu
-
-
-def optimal_bounds(params: model.OscillatorParams) -> Tuple[float, float, bool]:
-    """Best available pair: lower from p=1, upper from p=2.
-
-    The selection relies on the ordering E_1 > E_3 > E_2, which holds for
-    lam < |eps2| / eps3; the returned flag records that condition.
-    """
-    lo1, _ = bound_pair(params, 1)
-    _, up2 = bound_pair(params, 2)
-    co = perturb.coefficients(params)
-    valid = (co.valid_order >= 3 and co.eps3 > 0.0
-             and params.lam < abs(co.eps2) / co.eps3)
-    return lo1, up2, valid
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Everything the bounding machinery produces for one parameter set."""
@@ -142,12 +78,42 @@ class BoundReport:
 
 
 def bound_report(params: model.OscillatorParams) -> BoundReport:
+    """Symmetric bounds E_p -/+ ||mu_p|| for p = 1, 2, 3, the optimal pair
+    and the variational estimate, from one set of lambda-independent
+    constants (the coefficients and the residual integral R).
+
+    With the normalized trial state N1 (psi0 + lam phi1),
+
+        ||mu_p||^2 = N1^2 lam^4 R + Delta_p^2
+                     - 2 N1^2 Delta_p lam^2 (eps2 + lam eps3),
+
+    with Delta_p = sum_{i=2..p} lam^i eps_i (so Delta_1 = 0).  The cross
+    terms use (psi0, (V-eps1) phi1) = eps2 and (phi1, (V-eps1) phi1) = eps3
+    exactly.  The optimal pair is the lower bound of p=1 with the upper
+    bound of p=2; it relies on the ordering E_1 > E_3 > E_2, which holds
+    for lam < |eps2| / eps3, and optimal_valid records that condition.
+    """
+    co = _third_order_coefficients(params)
+    R = residual_integral(int(params.alpha), params.gamma)
+    lam = params.lam
+    n1sq = 1.0 / (1.0 + lam * lam * co.phi1_norm_sq)
+    d2 = lam * lam * co.eps2
     per_order = {}
-    for p in (1, 2, 3):
-        mu = mu_norm(params, p)
-        ep = perturb.energy_series(params, p)
+    for p, delta in ((1, 0.0), (2, d2), (3, d2 + lam ** 3 * co.eps3)):
+        radicand = n1sq * lam ** 4 * R
+        if p > 1:
+            radicand = (radicand + delta * delta
+                        - 2.0 * n1sq * delta * lam * lam
+                        * (co.eps2 + lam * co.eps3))
+        if radicand < 0.0:
+            raise ConvergenceError(
+                "negative residual-norm radicand (%g): inconsistent "
+                "coefficients" % radicand)
+        mu = math.sqrt(radicand)
+        ep = co.energy(lam, p)
         per_order[p] = (ep - mu, ep + mu, mu)
-    lo, up, valid = optimal_bounds(params)
+    valid = co.eps3 > 0.0 and lam < abs(co.eps2) / co.eps3
     return BoundReport(params=params, per_order=per_order,
-                       variational_upper=variational_upper(params),
-                       optimal=(lo, up), optimal_valid=valid)
+                       variational_upper=co.energy(lam, 3),
+                       optimal=(per_order[1][0], per_order[2][1]),
+                       optimal_valid=valid)

@@ -224,6 +224,20 @@ class PerturbationCoefficients:
     valid_order: int
     phi1_norm_sq: Optional[float]
 
+    def energy(self, lam: float, p: int) -> float:
+        """Truncated energy E_p(lam) = E0 + sum_{i<=p} lam^i eps_i."""
+        if p not in (1, 2, 3):
+            raise DomainError("order p must be 1, 2 or 3")
+        if p > self.valid_order:
+            raise DomainError("order %d coefficients unavailable (valid "
+                              "order is %d)" % (p, self.valid_order))
+        out = self.E0 + lam * self.eps1
+        if p >= 2:
+            out += lam * lam * self.eps2
+        if p >= 3:
+            out += lam ** 3 * self.eps3
+        return out
+
 
 _EPS2_GAMMA_MIN = {2: 1.0, 4: 3.0, 6: 5.0}
 _EPS3_GAMMA_MIN = {2: 1.0, 4: 4.0, 6: 7.0}
@@ -251,19 +265,5 @@ def coefficients(params: model.OscillatorParams) -> PerturbationCoefficients:
 
 
 def energy_series(params: model.OscillatorParams, p: int) -> float:
-    """Truncated energy E_p(lam) = 2 gamma + sum_{i<=p} lam^i eps_i from the
-    closed coefficient forms."""
-    if p not in (1, 2, 3):
-        raise DomainError("order p must be 1, 2 or 3")
-    co = coefficients(params)
-    if p > co.valid_order:
-        raise DomainError(
-            "order %d coefficients unavailable at alpha=%g, gamma=%g"
-            % (p, params.alpha, params.gamma))
-    lam = params.lam
-    out = co.E0 + lam * co.eps1
-    if p >= 2:
-        out += lam * lam * co.eps2
-    if p >= 3:
-        out += lam ** 3 * co.eps3
-    return out
+    """Truncated energy E_p(lam) from the closed coefficient forms."""
+    return coefficients(params).energy(params.lam, p)

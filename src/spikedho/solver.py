@@ -84,8 +84,11 @@ def ground_state(params: model.OscillatorParams, tol: float = 1e-11,
     accelerated by iterated Aitken extrapolation, and the reported energy
     is the accelerated value, not the raw eigenvalue at the final size.
     """
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError("tol must be positive and finite, got %r" % tol)
+    if basis_cap < n_start:
+        raise DomainError("basis cap %d is below the starting size %d"
+                          % (basis_cap, n_start))
     n = n_start
     ladder = []
     cert = math.inf
@@ -100,7 +103,8 @@ def ground_state(params: model.OscillatorParams, tol: float = 1e-11,
                                       ground_energy=ground)
         if n >= basis_cap:
             if len(ladder) < 2:
-                raise ConvergenceError("basis cap below the starting size")
+                raise ConvergenceError("basis cap %d leaves no room to refine "
+                                       "the starting size" % basis_cap)
             raise ConvergenceError(
                 "ground eigenvalue not converged at basis cap %d "
                 "(error certificate %.3e, tol %.3e)" % (basis_cap, cert, tol))

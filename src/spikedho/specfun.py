@@ -155,6 +155,9 @@ class HypergeometricSpec:
         object.__setattr__(self, "denominators", tuple(float(b) for b in self.denominators))
 
     def validate(self):
+        if not all(map(math.isfinite, self.numerators + self.denominators
+                       + (self.argument,))):
+            raise DomainError("pFq parameters and argument must be finite")
         for b in self.denominators:
             if b <= 0.0 and abs(b - round(b)) < _INT_TOL:
                 raise DomainError(

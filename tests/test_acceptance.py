@@ -48,9 +48,10 @@ def test_acceptance_2_small_coupling_example():
     params = model.make_params(12.0, 4.0, 0.001)
     assert matches_printed(perturb.energy_series(params, 1), "9.000114285")
     assert matches_printed(perturb.energy_series(params, 2), "9.000114279")
-    mu1 = bounds.mu_norm(params, 1)
+    report = bounds.bound_report(params)
+    mu1 = report.per_order[1][2]
     assert abs(mu1 - 4.8346e-8) <= 1.000001e-12
-    lo3, up3 = bounds.bound_pair(params, 3)
+    lo3, up3, _ = report.per_order[3]
     assert matches_printed(lo3, "9.000114231")
     assert matches_printed(up3, "9.000114327")
 

@@ -1,6 +1,7 @@
-"""Residual-norm bound tests: the trial-state normalization, the residual
-integral and its quadrature cross-check, the per-order symmetric bounds
-against the embedded fixture digits, and bracketing of the eigensolver."""
+"""Residual-norm bound tests: the residual integral and its quadrature
+cross-check, one constants pass per bound report, the per-order symmetric
+bounds against the embedded fixture digits, and bracketing of the
+eigensolver."""
 
 import math
 
@@ -16,11 +17,8 @@ def rel_err(a, b):
     return abs(a - b) / max(abs(b), 1e-300)
 
 
-def test_n1_values():
-    assert bounds.n1(0.0, 123.0) == 1.0
-    assert rel_err(bounds.n1(2.0, 0.75), 1.0 / 2.0) < 1e-14
-    with pytest.raises(DomainError):
-        bounds.n1(1.0, -0.1)
+def A_from_gamma(gamma):
+    return (gamma - 1.0) ** 2 - 0.25
 
 
 def test_variational_upper_at_zero_coupling():
@@ -70,29 +68,31 @@ def test_residual_integral_domain():
 
 def test_first_order_norm_digits():
     params = model.make_params(12.0, 4.0, 0.001)
-    mu1 = bounds.mu_norm(params, 1)
+    mu1 = bounds.bound_report(params).per_order[1][2]
     assert abs(mu1 - 4.8346e-8) <= 1.000001e-12
 
 
 def test_norms_shrink_with_order_at_small_coupling():
     params = model.make_params(12.0, 4.0, 0.001)
-    mus = [bounds.mu_norm(params, p) for p in (1, 2, 3)]
+    report = bounds.bound_report(params)
+    mus = [report.per_order[p][2] for p in (1, 2, 3)]
     assert mus[0] > mus[1] >= mus[2] * 0.999999
 
 
 def test_mu_norm_grows_with_coupling():
     prev = 0.0
     for lam in (0.001, 0.01, 0.1, 1.0):
-        mu = bounds.mu_norm(model.make_params(12.0, 4.0, lam), 1)
+        params = model.make_params(12.0, 4.0, lam)
+        mu = bounds.bound_report(params).per_order[1][2]
         assert mu > prev
         prev = mu
 
 
 def test_bound_pairs_match_fixture_digits():
     for lam, refs in TABLE2.items():
-        params = model.make_params(12.0, 4.0, lam)
+        report = bounds.bound_report(model.make_params(12.0, 4.0, lam))
         for k, p in enumerate((1, 2, 3)):
-            lo, up = bounds.bound_pair(params, p)
+            lo, up, _ = report.per_order[p]
             if (lam, p) != (0.001, 1):
                 # the remaining lower entry is covered by the xfail below
                 assert matches_printed(lo, refs[2 * k]), (lam, p, lo)
@@ -107,18 +107,16 @@ def test_inconsistent_fixture_entry():
     entry 9.000114334 together with E_1 = 9.0001142857 forces a lower
     entry of 9.000114237, not the stored 9.000114234."""
     params = model.make_params(12.0, 4.0, 0.001)
-    lo, up = bounds.bound_pair(params, 1)
+    lo, up, _ = bounds.bound_report(params).per_order[1]
     assert matches_printed(up, TABLE2[0.001][1])  # upper reproduces
     assert matches_printed(lo, TABLE2[0.001][0])  # lower cannot
 
 
 def test_optimal_bounds_selection():
-    params = model.make_params(12.0, 4.0, 1.0)
-    lo, up, valid = bounds.optimal_bounds(params)
-    lo1, _ = bounds.bound_pair(params, 1)
-    _, up2 = bounds.bound_pair(params, 2)
-    assert lo == lo1 and up == up2
-    assert valid
+    report = bounds.bound_report(model.make_params(12.0, 4.0, 1.0))
+    lo, up = report.optimal
+    assert lo == report.per_order[1][0] and up == report.per_order[2][1]
+    assert report.optimal_valid
     assert matches_printed(lo, "9.065963521")
     assert matches_printed(up, "9.155786288")
 
@@ -140,7 +138,38 @@ def test_variational_upper_within_second_order_window():
         assert report.variational_upper <= report.per_order[2][1]
 
 
-def test_mu_norm_domain():
-    params = model.make_params(12.0, 4.0, 0.001)
+def test_bound_report_computes_constants_once(monkeypatch):
+    calls = {"coefficients": 0, "residual_integral": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(perturb, "coefficients",
+                        counted("coefficients", perturb.coefficients))
+    monkeypatch.setattr(bounds, "residual_integral",
+                        counted("residual_integral", bounds.residual_integral))
+    for alpha, A, lam in ((4.0, 12.0, 0.1), (2.0, 12.0, 0.5), (6.0, 56.0, 0.01)):
+        calls.update(coefficients=0, residual_integral=0)
+        bounds.bound_report(model.make_params(A, alpha, lam))
+        assert calls == {"coefficients": 1, "residual_integral": 1}
+
+
+def test_report_variational_upper_is_third_order_energy():
+    for alpha, A, lam in ((4.0, 12.0, 0.001), (4.0, 12.0, 1.0),
+                          (2.0, 12.0, 0.5), (6.0, 56.0, 0.3)):
+        params = model.make_params(A, alpha, lam)
+        report = bounds.bound_report(params)
+        assert (report.variational_upper == bounds.variational_upper(params)
+                == perturb.energy_series(params, 3))
+
+
+def test_bound_report_needs_third_order_coefficients():
+    # alpha = 6 with 6 < gamma <= 7: eps3 is unavailable
+    params = model.make_params(A_from_gamma(6.5), 6.0, 0.01)
     with pytest.raises(DomainError):
-        bounds.mu_norm(params, 4)
+        bounds.bound_report(params)
+    with pytest.raises(DomainError):
+        bounds.variational_upper(params)

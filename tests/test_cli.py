@@ -1,11 +1,15 @@
-"""Command-line interface tests: exit codes, output formats, file output
-and determinism."""
+"""Command-line interface tests: exit codes, output formats, file output,
+determinism and byte-exact csv output against the files in tests/data."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from spikedho.cli import build_parser, main
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(argv, capsys):
@@ -117,3 +121,30 @@ def test_sums_command(capsys):
     names = {r["identity"] for r in doc["rows"]}
     assert names == {"double_sum", "resummation", "resummation_limit",
                      "trigamma_series"}
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--tol", "nan", "tol must be positive and finite"),
+    ("--basis-cap", "0", "basis cap 0 is below the starting size"),
+])
+def test_solver_input_exit_code(option, value, message, capsys):
+    assert main(["solve", "--l", "3", "--lambda", "0.001",
+                 option, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + message)
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("table2.csv", ["table2"]),
+    ("bounds_A12.csv", ["bounds", "--A", "12", "--lambda", "0.001",
+                        "--lambda", "0.1", "--lambda", "1"]),
+    ("bounds_l3_alpha2.csv", ["bounds", "--l", "3", "--alpha", "2",
+                              "--lambda", "0.01", "--lambda", "0.5"]),
+    ("bounds_l7_alpha6.csv", ["bounds", "--l", "7", "--alpha", "6",
+                              "--lambda", "0.01", "--lambda", "0.5"]),
+])
+def test_csv_output_matches_golden_file(name, argv, capsys):
+    code, out = run(argv, capsys)
+    assert code == 0
+    assert out.encode() == (DATA / name).read_bytes()

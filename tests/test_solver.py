@@ -66,3 +66,25 @@ def test_basis_cap_failure():
         solver.ground_state(params, basis_cap=32)  # cap below first doubling
     with pytest.raises(DomainError):
         solver.ground_state(params, tol=0.0)
+
+
+
+@pytest.fixture
+def no_eigensolve(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("eigensolve before the input check")
+    monkeypatch.setattr(solver.np.linalg, "eigvalsh", fail)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_tol_must_be_positive_and_finite(tol, no_eigensolve):
+    params = model.make_params(12.0, 4.0, 0.001)
+    with pytest.raises(DomainError):
+        solver.ground_state(params, tol=tol)
+
+
+@pytest.mark.parametrize("cap", [0, 31])
+def test_basis_cap_below_start_is_domain_error(cap, no_eigensolve):
+    params = model.make_params(12.0, 4.0, 0.001)
+    with pytest.raises(DomainError):
+        solver.ground_state(params, basis_cap=cap)

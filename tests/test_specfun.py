@@ -6,6 +6,7 @@ here as literals; everything else is checked through internal identities
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -128,6 +129,20 @@ def test_spec_validate_rejects_bad_denominator():
     with pytest.raises(DomainError):
         HypergeometricSpec((1.0,), (-3.0,), 1.0).validate()
     HypergeometricSpec((1.0,), (-2.5,), 0.5).validate()  # non-integer ok
+
+
+def test_pfq_rejects_non_finite_parameters():
+    nan, inf = math.nan, math.inf
+    start = time.monotonic()
+    for spec in (HypergeometricSpec((nan, 1.0), (2.0,), 0.5),
+                 HypergeometricSpec((nan, 1.0), (4.0,), 1.0),
+                 HypergeometricSpec((1.0, 1.0), (inf,), 0.5),
+                 HypergeometricSpec((-inf, 1.0), (2.0,), 0.5),
+                 HypergeometricSpec((1.0, 1.0), (-inf,), 0.5),
+                 HypergeometricSpec((1.0, 1.0), (2.0,), nan)):
+        with pytest.raises(DomainError):
+            pfq(spec)
+    assert time.monotonic() - start < 0.5
 
 
 def test_spec_excess_and_termination():

@@ -303,6 +303,7 @@ def config_from_args(args) -> RunConfig:
         raise DomainError("A, alpha and lambda must be finite")
     if any(lam < 0.0 for lam in lambdas):
         raise DomainError("all lambda values must be >= 0")
+    solver.check_options(args.tol, args.basis_cap)
     return RunConfig(command=args.command, A=args.A, l=args.l,
                      alpha=args.alpha, lambdas=lambdas,
                      basis_cap=args.basis_cap, tol=args.tol, fmt=args.fmt,

@@ -38,9 +38,6 @@ TABLE2 = {
           "9.155786288", "9.061245282", "9.157377241"),
 }
 
-# The marked optimal pair in every TABLE2 row is (lower of p=1, upper of p=2).
-TABLE2_OPTIMAL = ((1, "lower"), (2, "upper"))
-
 # The (lambda, p, side) entries of TABLE2 that are internally inconsistent:
 # bounds are symmetric about E_p by construction, and for this entry the
 # tabulated upper value together with E_1 forces a lower value of

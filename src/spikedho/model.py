@@ -6,11 +6,11 @@ with the exactly solvable unperturbed part H0 = -d^2/dx^2 + x^2 + A/x^2.
 The unperturbed eigenfunctions psi_n and energies 4n + 2*gamma, with
 gamma = 1 + sqrt(1+4A)/2, form the working basis; this module supplies the
 basis, the perturbation matrix elements V_nm = (psi_n, x^-alpha psi_m)
-(tables as V = B B^T from the Laguerre connection formula for every alpha
-with 2*gamma > alpha; the elementwise hypergeometric form and the closed
-forms for alpha in {2,4,6} as references), the first-order wavefunction
-correction phi1, and the quadrature scheme for inner products on the
-half-line.
+(every table, and the V_0i column, from one connection factor V = B B^T
+of the Laguerre connection formula for every alpha with 2*gamma > alpha;
+the elementwise hypergeometric form and the closed forms for alpha in
+{2,4,6} as references), the first-order wavefunction correction phi1,
+and the quadrature scheme for inner products on the half-line.
 """
 
 from __future__ import annotations
@@ -155,25 +155,17 @@ def matrix_element_closed(n: int, m: int, alpha: int, gamma: float) -> float:
             * bracket / 2.0)
 
 
-@dataclass(frozen=True)
-class MatrixElementTable:
-    """Symmetric table of V_nm values for one (alpha, gamma)."""
-
-    size: int
-    alpha: float
-    gamma: float
-    values: np.ndarray
-
-
-def matrix_element_table(alpha: float, gamma: float, size: int) -> MatrixElementTable:
-    """Symmetric N x N table V = B B^T, for any alpha with 2*gamma > alpha.
+def connection_factor(alpha: float, gamma: float, size: int
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The factor B of V = B B^T, for any alpha with 2*gamma > alpha, as
+    three vectors (left, t, right): B = diag(left) T diag(right) with T the
+    lower-triangular Toeplitz matrix T_nk = t[n-k], k <= n.
 
     With h = alpha/2 the Laguerre connection formula (DLMF 18.18(iii))
-    gives B = S D1 T D2^(1/2): S = diag((-1)^n),
-    D1 = diag(sqrt(n!/Gamma(n+gamma))), T_nk = (h)_(n-k)/(n-k)!
-    lower-triangular Toeplitz and D2 = diag(Gamma(k+gamma-h)/k!); for
-    h > 0 every summand is positive.  The diagonals are running products
-    of ratios, so nothing overflows or cancels at large n.
+    gives left_n = (-1)^n sqrt(n!/(gamma)_n), t_m = (h)_m/m! and
+    right_k = sqrt(Gamma(k+gamma-h)/(k! Gamma(gamma))); for h > 0 every
+    summand of B B^T is positive.  Each vector is a running product of
+    ratios, so nothing overflows or cancels at large n.
     """
     if size < 1:
         raise DomainError("table size must be >= 1")
@@ -181,19 +173,22 @@ def matrix_element_table(alpha: float, gamma: float, size: int) -> MatrixElement
         raise DomainError("matrix elements need 2*gamma > alpha")
     h = alpha / 2.0
     k = np.arange(1.0, size)
-    # sqrt((gamma)_n/n!), sqrt((gamma-h)_k/k!) * sqrt(Gamma(gamma-h)/Gamma(gamma))
-    # and t_m = (h)_m/m!, each a running product of ratios
     root_p = np.cumprod(np.sqrt(np.r_[1.0, (gamma - 1.0 + k) / k]))
-    root_q = np.cumprod(np.sqrt(np.r_[math.exp(ln_gamma(gamma - h) - ln_gamma(gamma)),
-                                      (gamma - h - 1.0 + k) / k]))
+    right = np.cumprod(np.sqrt(np.r_[math.exp(ln_gamma(gamma - h) - ln_gamma(gamma)),
+                                     (gamma - h - 1.0 + k) / k]))
     t = np.cumprod(np.r_[1.0, (h - 1.0 + k) / k])
+    left = np.where(np.arange(size) % 2, -1.0, 1.0) / root_p
+    return left, t, right
+
+
+def matrix_element_table(alpha: float, gamma: float, size: int) -> np.ndarray:
+    """Symmetric N x N table V = B B^T from the connection factor."""
+    left, t, right = connection_factor(alpha, gamma, size)
     # T[n, k] = t[n-k] for k <= n, else 0: a view of the zero-padded t
     toeplitz = np.lib.stride_tricks.sliding_window_view(
         np.r_[np.zeros(size - 1), t], size)[:, ::-1]
-    sign = np.where(np.arange(size) % 2, -1.0, 1.0)
-    b = toeplitz * (sign / root_p)[:, None] * root_q
-    return MatrixElementTable(size=size, alpha=float(alpha), gamma=gamma,
-                              values=b @ b.T)
+    b = toeplitz * left[:, None] * right
+    return b @ b.T
 
 
 # ---------------------------------------------------------------------------

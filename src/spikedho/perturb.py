@@ -112,16 +112,6 @@ def epsilon3_closed(alpha: int, gamma: float) -> float:
     raise DomainError("epsilon3_closed supports alpha in (2, 4, 6)")
 
 
-def _v0_column(alpha: float, gamma: float, n: int) -> np.ndarray:
-    """V_{0,i} for i = 1..n via the stable term recurrence
-    V_{0,i+1}/V_{0,i} = -((alpha/2 + i)/(gamma + i)) sqrt((gamma+i)/(i+1))."""
-    h = alpha / 2.0
-    i = np.arange(n, dtype=float)  # 0..n-1, ratios from index i to i+1
-    ratios = -((h + i) / (gamma + i)) * np.sqrt((gamma + i) / (i + 1.0))
-    e1 = epsilon1(alpha, gamma)
-    return e1 * np.cumprod(ratios)
-
-
 def _series_tail(t_last: float, t_prev: float, n_last: int) -> float:
     """Tail estimate from the last term ratio, doubled for safety.
 
@@ -144,11 +134,10 @@ def _series_tail(t_last: float, t_prev: float, n_last: int) -> float:
 
 def epsilon2_series(alpha: float, gamma: float, n_terms: int) -> SeriesValue:
     """Sum-over-states oracle -sum_i V_{0i}^2 / (4 i), truncated."""
-    if 2.0 * gamma <= alpha:
-        raise DomainError("epsilon2_series needs 2*gamma > alpha")
     if n_terms < 1:
         raise DomainError("n_terms must be >= 1")
-    v0 = _v0_column(alpha, gamma, n_terms)
+    left, t, right = model.connection_factor(alpha, gamma, n_terms + 1)
+    v0 = right[0] ** 2 * left[1:] * t[1:]  # V_0i = B_00 B_i0
     i = np.arange(1, n_terms + 1, dtype=float)
     terms = v0 * v0 / (4.0 * i)
     value = -float(np.sum(terms))
@@ -169,23 +158,23 @@ def _partial_tail(s_quarter: float, s_half: float, s_full: float) -> float:
     return 2.0 * d2 * r / (1.0 - r)
 
 
-def epsilon3_series(alpha: float, gamma: float, n_terms: int) -> SeriesValue:
-    """Double sum-over-states oracle
-    sum_{s,k} V_{0s} V_{sk} V_{k0} / (16 s k) - eps1 sum_i V_{0i}^2 / (16 i^2)."""
-    if 2.0 * gamma <= alpha:
-        raise DomainError("epsilon3_series needs 2*gamma > alpha")
+def _double_state_sum(alpha: float, gamma: float, n_terms: int,
+                      norm_weight: float) -> SeriesValue:
+    """Truncation at M = n_terms of
+        sum_{s,k<=M} V_{0s} V_{sk} V_{k0} / (16 s k)
+          - norm_weight sum_{i<=M} V_{0i}^2 / (16 i^2),
+    with a power-law tail estimate from the partial sums at M/4, M/2, M."""
     if n_terms < 1:
         raise DomainError("n_terms must be >= 1")
-    table = model.matrix_element_table(alpha, gamma, n_terms + 1)
-    v0 = _v0_column(alpha, gamma, n_terms)
+    left, t, right = model.connection_factor(alpha, gamma, n_terms + 1)
+    v0 = right[0] ** 2 * left[1:] * t[1:]  # V_0i = B_00 B_i0
+    inner = model.matrix_element_table(alpha, gamma, n_terms + 1)[1:, 1:]
     i = np.arange(1, n_terms + 1, dtype=float)
     w = v0 / (4.0 * i)
-    inner = table.values[1:, 1:]
-    e1 = epsilon1(alpha, gamma)
 
     def partial(m):
         return (float(w[:m] @ inner[:m, :m] @ w[:m])
-                - e1 * float(np.sum(v0[:m] ** 2 / (16.0 * i[:m] ** 2))))
+                - norm_weight * float(np.sum(v0[:m] ** 2 / (16.0 * i[:m] ** 2))))
 
     full = partial(n_terms)
     if n_terms >= 4:
@@ -193,6 +182,12 @@ def epsilon3_series(alpha: float, gamma: float, n_terms: int) -> SeriesValue:
     else:
         tail = math.inf
     return SeriesValue(full, tail, n_terms)
+
+
+def epsilon3_series(alpha: float, gamma: float, n_terms: int) -> SeriesValue:
+    """Double sum-over-states oracle
+    sum_{s,k} V_{0s} V_{sk} V_{k0} / (16 s k) - eps1 sum_i V_{0i}^2 / (16 i^2)."""
+    return _double_state_sum(alpha, gamma, n_terms, epsilon1(alpha, gamma))
 
 
 def phi1_norm_sq(alpha: float, gamma: float) -> float:

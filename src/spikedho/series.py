@@ -15,13 +15,12 @@ factored/expanded forms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from . import model, perturb
+from . import perturb
 from .perturb import SeriesValue
 from .specfun import (DomainError, HypergeometricSpec, gauss_2f1_unit,
                       pfq, trigamma)
@@ -45,27 +44,10 @@ class SeriesCheck:
 
 
 def double_sum_truncated(alpha: int, gamma: float, m_terms: int) -> SeriesValue:
-    """Truncation sum_{n,m=1}^{M} V_0n V_nm V_m0 / (16 n m) from the
-    closed matrix elements, with a power-law tail estimate extrapolated
-    from the partial sums at M/4, M/2, M."""
-    if m_terms < 1:
-        raise DomainError("m_terms must be >= 1")
-    table = model.matrix_element_table(alpha, gamma, m_terms + 1)
-    v0 = perturb._v0_column(alpha, gamma, m_terms)
-    n = np.arange(1, m_terms + 1, dtype=float)
-    w = v0 / (4.0 * n)
-    inner = table.values[1:, 1:]
-
-    def partial(m):
-        return float(w[:m] @ inner[:m, :m] @ w[:m])
-
-    full = partial(m_terms)
-    if m_terms >= 4:
-        tail = perturb._partial_tail(partial(m_terms // 4),
-                                     partial(m_terms // 2), full)
-    else:
-        tail = math.inf
-    return SeriesValue(full, tail, m_terms)
+    """Truncation sum_{n,m=1}^{M} V_0n V_nm V_m0 / (16 n m), with a
+    power-law tail estimate extrapolated from the partial sums at M/4,
+    M/2, M."""
+    return perturb._double_state_sum(alpha, gamma, m_terms, 0.0)
 
 
 # Polynomial numerators of the rational parts, low degree first.

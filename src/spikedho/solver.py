@@ -13,6 +13,8 @@ import numpy as np
 from . import model
 from .specfun import ConvergenceError, DomainError
 
+N_START = 32  # basis size of the first rung of the doubling ladder
+
 
 @dataclass(frozen=True)
 class SpectrumResult:
@@ -26,8 +28,8 @@ def build_hamiltonian(params: model.OscillatorParams, n_basis: int) -> np.ndarra
     """Symmetric matrix with entries (4n + 2 gamma) [n=m] + lam V_nm."""
     if n_basis < 1:
         raise DomainError("basis size must be >= 1")
-    table = model.matrix_element_table(params.alpha, params.gamma, n_basis)
-    h = params.lam * table.values
+    h = params.lam * model.matrix_element_table(params.alpha, params.gamma,
+                                                n_basis)
     diag = 4.0 * np.arange(n_basis) + 2.0 * params.gamma
     h[np.diag_indices(n_basis)] += diag
     return h
@@ -74,8 +76,18 @@ def _extrapolate(values):
     return best, cert
 
 
+def check_options(tol: float, basis_cap: int) -> None:
+    """Raise DomainError unless tol is positive and finite and basis_cap
+    leaves room for the starting size."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError("tol must be positive and finite, got %r" % tol)
+    if basis_cap < N_START:
+        raise DomainError("basis cap %d is below the starting size %d"
+                          % (basis_cap, N_START))
+
+
 def ground_state(params: model.OscillatorParams, tol: float = 1e-11,
-                 basis_cap: int = 2048, n_start: int = 32) -> SpectrumResult:
+                 basis_cap: int = 2048) -> SpectrumResult:
     """Eigensolve at doubling basis sizes until the extrapolated ground
     eigenvalue carries an error certificate below tol.
 
@@ -84,12 +96,8 @@ def ground_state(params: model.OscillatorParams, tol: float = 1e-11,
     accelerated by iterated Aitken extrapolation, and the reported energy
     is the accelerated value, not the raw eigenvalue at the final size.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError("tol must be positive and finite, got %r" % tol)
-    if basis_cap < n_start:
-        raise DomainError("basis cap %d is below the starting size %d"
-                          % (basis_cap, n_start))
-    n = n_start
+    check_options(tol, basis_cap)
+    n = N_START
     ladder = []
     cert = math.inf
     while True:

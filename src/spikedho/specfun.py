@@ -286,16 +286,20 @@ def _unit_sum_em(spec: HypergeometricSpec) -> float:
         raise ConvergenceError("pFq partial sums overflowed at unit argument")
     tK = terms[K]
     direct = math.fsum(terms[:K])
-    # tail integral, substitution k = K exp(w)
-    wmax = min(max(30.0, 40.0 / s), 4000.0)
-    npan = int(math.ceil(wmax))
+    # tail integral, substitution k = K exp(w).  From w_frozen on, kcap is
+    # frozen at e^700 and the integrand is exactly C exp(-s w), so a capped
+    # range is completed in closed form by the end value over s.
+    w_frozen = math.ceil(700.0 - math.log(K))
+    npan = int(math.ceil(min(max(30.0, 40.0 / s), w_frozen)))
     xg, wg = _leggauss_cached(20)
     centers = np.arange(npan) + 0.5
-    w = (centers[:, None] + 0.5 * xg[None, :]).ravel()
+    w = np.r_[(centers[:, None] + 0.5 * xg[None, :]).ravel(), npan]
     lnk = math.log(K) + w
     kcap = np.exp(np.minimum(lnk, 700.0))
     vals = np.exp(_log_term_ratio(lnk, kcap, float(K), num, den, s) + w)
-    integral = tK * K * 0.5 * float(np.sum(vals.reshape(npan, -1) @ wg))
+    integral = tK * K * 0.5 * float(np.sum(vals[:-1].reshape(npan, -1) @ wg))
+    if npan == w_frozen:
+        integral += tK * K * vals[-1] / s
     dlog = math.fsum(digamma(a + K) for a in spec.numerators) \
         - math.fsum(digamma(b + K) for b in spec.denominators) \
         - digamma(K + 1.0)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from spikedho import solver
 from spikedho.cli import build_parser, main
 
 
@@ -133,6 +134,25 @@ def test_solver_input_exit_code(option, value, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: " + message)
+
+
+@pytest.mark.parametrize("argv", [
+    ["table1", "--tol", "nan"],
+    ["table1", "--tol", "inf"],
+    ["table1", "--tol", "0"],
+    ["table1", "--tol=-1e-11"],
+    ["table1", "--basis-cap", "0"],
+    ["table1", "--basis-cap", str(solver.N_START - 1)],
+])
+def test_bad_solver_options_exit_before_eigensolve(argv, capsys, monkeypatch):
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("eigensolve started")
+
+    monkeypatch.setattr(solver, "ground_state", no_eigensolve)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 @pytest.mark.parametrize("name, argv", [

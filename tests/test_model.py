@@ -103,24 +103,24 @@ def test_general_form_noninteger_alpha_quadrature():
 def test_matrix_element_table_matches_elementwise():
     for alpha, gamma in ((2, 3.0), (4, 4.5), (6, 8.0), (4, 51.5)):
         table = model.matrix_element_table(alpha, gamma, 12)
-        assert np.max(np.abs(table.values - table.values.T)) < 1e-13
+        assert np.max(np.abs(table - table.T)) < 1e-13
         for i in (0, 3, 11):
             for j in (0, 7):
                 ref = model.matrix_element_closed(i, j, int(alpha), gamma)
-                assert abs(table.values[i, j] - ref) < 1e-13
-                assert abs(table.values[i, j] - ref) <= 1e-13 * abs(ref)
+                assert abs(table[i, j] - ref) < 1e-13
+                assert abs(table[i, j] - ref) <= 1e-13 * abs(ref)
     for alpha, gamma in ((2.5, 4.0), (1.3, 4.0), (3.0, 4.5)):
         table = model.matrix_element_table(alpha, gamma, 12)
-        assert np.max(np.abs(table.values - table.values.T)) < 1e-13
+        assert np.max(np.abs(table - table.T)) < 1e-13
         for i in range(12):
             for j in range(12):
                 ref = model.matrix_element_general(i, j, alpha, gamma)
-                assert abs(table.values[i, j] - ref) <= 1e-13 * abs(ref)
+                assert abs(table[i, j] - ref) <= 1e-13 * abs(ref)
 
 
 def test_matrix_element_table_large_basis_vs_mpmath():
     mpmath = pytest.importorskip("mpmath")
-    table = model.matrix_element_table(2, 1.5, 2048).values
+    table = model.matrix_element_table(2, 1.5, 2048)
 
     def exact(i, j):
         # alpha = 2 closed form, lo = min(i, j), hi = max(i, j):
@@ -138,6 +138,32 @@ def test_matrix_element_table_large_basis_vs_mpmath():
             assert abs((table[i, j] - ref) / ref) < 1e-13
 
 
+def test_connection_factor_rebuilds_table_exactly():
+    for alpha, gamma, size in ((4, 4.5, 300), (2, 1.5, 257), (2.7, 3.5, 64)):
+        left, t, right = model.connection_factor(alpha, gamma, size)
+        n = np.arange(size)
+        lag = np.subtract.outer(n, n)
+        toeplitz = np.where(lag >= 0, t[np.abs(lag)], 0.0)
+        b = toeplitz * left[:, None] * right
+        assert np.array_equal(b @ b.T,
+                              model.matrix_element_table(alpha, gamma, size))
+
+
+@pytest.mark.parametrize("alpha,gamma", [(4, 4.5), (6, 8.0), (2.7, 3.5)])
+def test_connection_factor_v0_column_vs_mpmath(alpha, gamma):
+    # V_0i = B_00 B_i0 = eps1 (-1)^i sqrt(i!/(gamma)_i) (h)_i/i!
+    mpmath = pytest.importorskip("mpmath")
+    left, t, right = model.connection_factor(alpha, gamma, 20001)
+    v0 = right[0] ** 2 * left * t
+    with mpmath.workdps(30):
+        g, h = mpmath.mpf(gamma), mpmath.mpf(alpha) / 2
+        for i in (1, 10, 1000, 20000):
+            ref = ((-1) ** i * mpmath.gamma(g - h) / mpmath.gamma(g)
+                   * mpmath.sqrt(mpmath.factorial(i) / mpmath.rf(g, i))
+                   * mpmath.rf(h, i) / mpmath.factorial(i))
+            assert abs((v0[i] - ref) / ref) < 2e-13
+
+
 def test_matrix_element_domain():
     with pytest.raises(DomainError):
         model.matrix_element_closed(0, 0, 4, 1.5)
@@ -148,8 +174,12 @@ def test_matrix_element_domain():
     for alpha, gamma in ((4, 2.0), (2, 1.0), (3.0, 1.2), (6, 3.0)):
         with pytest.raises(DomainError):
             model.matrix_element_table(alpha, gamma, 4)
+        with pytest.raises(DomainError):
+            model.connection_factor(alpha, gamma, 4)
     with pytest.raises(DomainError):
         model.matrix_element_table(4, 4.5, 0)
+    with pytest.raises(DomainError):
+        model.connection_factor(4, 4.5, 0)
 
 
 # ---------------------------------------------------------------------------

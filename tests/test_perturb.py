@@ -127,7 +127,8 @@ def test_phi1_norm_sq_vs_quadrature():
 def test_phi1_norm_sq_vs_state_sum():
     # (phi1, phi1) = sum_i V_0i^2 / (16 i^2)
     for alpha, g in ((4.0, 4.5), (6.0, 8.0)):
-        v0 = perturb._v0_column(alpha, g, 20000)
+        left, t, right = model.connection_factor(alpha, g, 20001)
+        v0 = right[0] ** 2 * left[1:] * t[1:]
         i = np.arange(1, 20001, dtype=float)
         trunc = float(np.sum(v0 * v0 / (16.0 * i * i)))
         assert rel_err(perturb.phi1_norm_sq(alpha, g), trunc) < 1e-9

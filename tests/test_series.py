@@ -36,6 +36,19 @@ def test_double_sum_truncation_converges_monotonically():
         assert abs(final.value - closed) <= final.tail_estimate + 1e-12
 
 
+def test_epsilon3_series_is_double_sum_minus_norm_term():
+    # eps3 oracle = double sum - eps1 sum_i V_0i^2 / (16 i^2)
+    for alpha, gamma, m in ((2, 3.0, 100), (4, 4.5, 200), (6, 8.0, 200),
+                            (2.7, 3.5, 150)):
+        left, t, right = model.connection_factor(alpha, gamma, m + 1)
+        v0 = right[0] ** 2 * left[1:] * t[1:]
+        i = np.arange(1, m + 1, dtype=float)
+        norm = perturb.epsilon1(alpha, gamma) * float(np.sum(v0 ** 2 / (16.0 * i ** 2)))
+        expected = series.double_sum_truncated(alpha, gamma, m).value - norm
+        got = perturb.epsilon3_series(alpha, gamma, m).value
+        assert rel_err(got, expected) < 1e-14
+
+
 def test_double_sum_closed_grid():
     grids = {2: (2.0, 3.0, 4.0, 6.0, 10.0), 4: (4.25, 4.5, 5.0, 6.0, 8.0),
              6: (7.5, 8.0, 9.5, 12.0, 20.0)}

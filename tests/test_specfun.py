@@ -193,6 +193,14 @@ def test_pfq_unit_argument_references():
         assert rel_err(val, ref) < 1e-12
 
 
+@pytest.mark.parametrize("s", [1e-2, 1e-3, 1e-4])
+def test_pfq_unit_argument_small_excess(s):
+    # 3F2(1, 1, 1; 2, 1+s; 1) = s psi'(s): excess s, tail reaching past the
+    # range where the Stirling remainders freeze
+    val = pfq(HypergeometricSpec((1.0, 1.0, 1.0), (2.0, 1.0 + s), 1.0))
+    assert rel_err(val, s * trigamma(s)) < 1e-11
+
+
 def test_pfq_divergent_raises():
     with pytest.raises(DomainError):
         pfq(HypergeometricSpec((1.0, 1.0), (2.0,), 1.0))     # excess 0

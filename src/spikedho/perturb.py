@@ -168,12 +168,14 @@ def _double_state_sum(alpha: float, gamma: float, n_terms: int,
         raise DomainError("n_terms must be >= 1")
     left, t, right = model.connection_factor(alpha, gamma, n_terms + 1)
     v0 = right[0] ** 2 * left[1:] * t[1:]  # V_0i = B_00 B_i0
-    inner = model.matrix_element_table(alpha, gamma, n_terms + 1)[1:, 1:]
     i = np.arange(1, n_terms + 1, dtype=float)
     w = v0 / (4.0 * i)
+    lw = left * np.r_[0.0, w]
 
     def partial(m):
-        return (float(w[:m] @ inner[:m, :m] @ w[:m])
+        # w^T V[1:m+1, 1:m+1] w = |B[1:m+1, :m+1]^T w|^2, B lower triangular
+        bw = right[:m + 1] * np.convolve(lw[m::-1], t[:m + 1])[m::-1]
+        return (float(bw @ bw)
                 - norm_weight * float(np.sum(v0[:m] ** 2 / (16.0 * i[:m] ** 2))))
 
     full = partial(n_terms)

@@ -24,8 +24,10 @@ def test_build_hamiltonian_entries():
 def test_zero_coupling_spectrum_is_diagonal():
     params = model.make_params(12.0, 4.0, 0.0)
     res = solver.ground_state(params)
-    n = np.arange(res.basis_size)
-    assert np.max(np.abs(res.eigenvalues - (4.0 * n + 9.0))) < 1e-10
+    assert all(abs(value - 9.0) < 1e-12 for _, value, _ in res.ladder)
+    n = np.arange(64)
+    assert np.array_equal(solver.build_hamiltonian(params, 64),
+                          np.diag(4.0 * n + 9.0))
     assert res.ground_energy == pytest.approx(9.0, abs=1e-12)
 
 
@@ -68,12 +70,114 @@ def test_basis_cap_failure():
         solver.ground_state(params, tol=0.0)
 
 
+def test_certificate_is_never_zero():
+    # windows at the roundoff floor pass through Aitken unchanged; the
+    # certificate still reports the floor instead of 0
+    for A, lam in ((2550.0, 1.0), (12.0, 0.0)):
+        res = solver.ground_state(model.make_params(A, 4.0, lam))
+        assert res.delta_last_refinement >= (solver._NOISE_FLOOR
+                                             * abs(res.ground_energy)) > 0.0
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_inverse_factor_inverts_connection_factor(h):
+    left, t, right = model.connection_factor(2.0 * h, 8.5, 64)
+    n = np.arange(64)
+    b = np.where(n[:, None] >= n, left[:, None] * t[np.abs(n[:, None] - n)]
+                 * right, 0.0)
+    g = solver._inverse_factor(left, right, h)
+    dense = sum(np.diag(g[m, m:], -m) for m in range(h + 1))
+    assert np.max(np.abs(dense @ b - np.eye(64))) < 1e-12
+
+
+@pytest.mark.parametrize("alpha, A", [(2.0, 1.0), (2.0, 12.0), (4.0, 12.0),
+                                      (4.0, 20.0), (6.0, 30.0)])
+def test_banded_rungs_match_dense(alpha, A):
+    for lam in (1e-3, 0.1, 1.0):
+        params = model.make_params(A, alpha, lam)
+        rungs = list(solver._rungs(params, [32, 64, 256, 1024]))
+        assert rungs[0][2] is None                     # the dense seed
+        for n, value, width in rungs[1:]:
+            assert width is not None and width <= 8.0 * np.finfo(float).eps * value
+            dense = np.linalg.eigvalsh(solver.build_hamiltonian(params, n))[0]
+            assert abs(value - dense) <= 1e-12
+
+
+def test_alpha2_banded_rungs_lie_above_exact_energy():
+    for A in (0.0, 1.0, 12.0):
+        for lam in (0.001, 0.1, 1.0):
+            params = model.make_params(A, 2.0, lam)
+            exact = 2.0 + math.sqrt(1.0 + 4.0 * (A + lam))
+            ladder = solver.ground_state(params, tol=2e-9).ladder
+            assert any(width is not None for _, _, width in ladder)
+            for _, value, width in ladder:
+                if width is not None:
+                    assert value >= exact - 1e-13
+
+
+def test_dense_path_where_the_band_or_temple_fails():
+    for A, alpha, lam in ((12.0, 2.7, 0.1), (0.0, 2.0, 10.0)):
+        res = solver.ground_state(model.make_params(A, alpha, lam))
+        assert all(width is None for _, _, width in res.ladder)
+
+
+def test_fallback_to_dense_keeps_the_answer(monkeypatch):
+    params = model.make_params(12.0, 6.0, 1e-3)
+    expected = 9.000076047158338  # all-dense ladder, basis size 2048
+    res = solver.ground_state(params)
+    assert res.basis_size == 2048
+    assert abs(res.ground_energy - expected) < 1e-13
+    # a rung that the banded iteration cannot certify turns it and every
+    # later rung dense
+    solve = solver._band_solve
+    monkeypatch.setattr(solver, "_band_solve",
+                        lambda p, b: None if len(b) >= 256 else solve(p, b))
+    res = solver.ground_state(params)
+    assert [width is None for _, _, width in res.ladder] == [
+        True, False, False, True, True, True, True]
+    assert abs(res.ground_energy - expected) < 1e-13
+
+
+def test_banded_rung_inside_exact_temple_interval(monkeypatch):
+    # At alpha = 6, gamma = 4.5, lam = 50 the large entries of lam V cost
+    # eigvalsh digits (7.8e-12 at N = 256).  Temple's interval of the banded
+    # vector, taken in 40-digit arithmetic, pins the banded value to a few
+    # ulp.
+    mp = pytest.importorskip("mpmath")
+    params = model.make_params(12.0, 6.0, 50.0)
+    n, kept = 128, []
+    banded_rung = solver._banded_rung
+    monkeypatch.setattr(solver, "_banded_rung",
+                        lambda *args: kept.append(banded_rung(*args)) or kept[-1])
+    value = list(solver._rungs(params, [32, 64, n]))[-1][1]
+    with mp.workdps(40):
+        g, h = mp.mpf(4.5), 3
+        left = [(-1) ** k * mp.sqrt(mp.factorial(k) / mp.rf(g, k))
+                for k in range(n)]
+        t = [mp.rf(h, k) / mp.factorial(k) for k in range(n)]
+        right = [mp.sqrt(mp.gamma(k + g - h) / (mp.factorial(k) * mp.gamma(g)))
+                 for k in range(n)]
+        x = [mp.mpf(float(v)) for v in kept[-1][2]]
+        norm = mp.sqrt(mp.fsum(v * v for v in x))
+        x = [v / norm for v in x]
+        w = [right[k] * mp.fsum(t[i - k] * left[i] * x[i] for i in range(k, n))
+             for k in range(n)]
+        hx = [(4 * i + 2 * g) * x[i] + 50 * left[i]
+              * mp.fsum(t[i - k] * right[k] * w[k] for k in range(i + 1))
+              for i in range(n)]
+        theta = mp.fsum(a * b for a, b in zip(x, hx))
+        r2 = mp.fsum((a - theta * b) ** 2 for a, b in zip(hx, x))
+        lower = theta - r2 / (2 * g + 4 - theta)
+        assert theta - lower < 1e-14
+        assert lower - 1e-14 <= value <= theta + 1e-14
+
 
 @pytest.fixture
 def no_eigensolve(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("eigensolve before the input check")
     monkeypatch.setattr(solver.np.linalg, "eigvalsh", fail)
+    monkeypatch.setattr(solver.np.linalg, "eigh", fail)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf])

@@ -5,6 +5,9 @@ The symmetric bounds follow the residual-norm construction: with the
 normalized trial state phi = N1 (psi0 + lam phi1) and the truncated energy
 E_p(lam), the quantity ||mu|| = ||(H - E_p) phi|| brackets the exact
 eigenvalue:  E_p - ||mu|| <= E <= E_p + ||mu||.
+R = (phi1, (V - eps1)^2 phi1) in ||mu|| is finite as an integral only for
+gamma > 2 alpha - 2; below that residual_integral gives its analytic
+continuation in gamma, and E_p -/+ ||mu|| is not proven to bracket E there.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .specfun import ConvergenceError, DomainError
 def _third_order_coefficients(params: model.OscillatorParams
                               ) -> perturb.PerturbationCoefficients:
     co = perturb.coefficients(params)
-    if co.valid_order < 3 or co.phi1_norm_sq is None:
+    if co.valid_order < 3:
         raise DomainError(
             "third-order coefficients unavailable at alpha=%g, gamma=%g "
             "(need alpha in (2, 4, 6) with admissible gamma)"
@@ -51,10 +54,10 @@ _RESIDUAL_GAMMA_MIN = {2: 2.0, 4: 4.0, 6: 6.0}
 
 
 def residual_integral(alpha: int, gamma: float) -> float:
-    """R = (phi1, (V - eps1)^2 phi1) with V = x^(-alpha), via the termwise
-    gamma-function continuation of the three pieces
+    """R = (phi1, (V - eps1)^2 phi1) with V = x^(-alpha), from the moments
     (phi1, x^(-2 alpha) phi1) - 2 eps1 (phi1, x^(-alpha) phi1)
-    + eps1^2 (phi1, phi1)."""
+    + eps1^2 (phi1, phi1): rational in gamma plus a multiple of psi'(gamma),
+    and equal to the integral only for gamma > 2 alpha - 2."""
     if alpha not in _RESIDUAL_GAMMA_MIN:
         raise DomainError("residual_integral supports alpha in (2, 4, 6)")
     if gamma <= _RESIDUAL_GAMMA_MIN[alpha]:

@@ -196,111 +196,80 @@ def matrix_element_table(alpha: float, gamma: float, size: int) -> np.ndarray:
 #
 # All three closed forms share the structure
 #     phi1(x) = C x^(gamma-1/2) exp(-x^2/2) *
-#               sum_k (p_k + q_k * log x^2) x^(-2k),
-# with C = Gamma(gamma - alpha/2) / (2 sqrt(2) Gamma(gamma) sqrt(Gamma(gamma))).
+#               sum_k (c_k + q_k * (log x^2 - psi(gamma))) x^(-2k),
+# with C = Gamma(gamma - alpha/2) / (2 sqrt(2) Gamma(gamma) sqrt(Gamma(gamma)))
+# and c_k, q_k rational in gamma.
 # ---------------------------------------------------------------------------
-
-_PHI1_GAMMA_MIN = {2: 1.0, 4: 2.0, 6: 3.0}
 
 
 def phi1_structure(alpha: int, gamma: float):
-    """Prefactor C and list of (p_k, q_k) coefficients of x^(-2k) terms."""
-    if alpha not in _PHI1_GAMMA_MIN:
+    """The rational coefficients (c_k, q_k) of the x^(-2k) terms."""
+    if alpha not in CLOSED_FORM_ALPHAS:
         raise DomainError("phi1 closed forms exist for alpha in (2, 4, 6)")
-    if gamma <= _PHI1_GAMMA_MIN[alpha]:
+    if gamma <= alpha / 2.0:
         raise DomainError("phi1 for alpha=%d needs gamma > %g"
-                          % (alpha, _PHI1_GAMMA_MIN[alpha]))
+                          % (alpha, alpha / 2.0))
     g = gamma
-    C = math.exp(ln_gamma(g - alpha / 2.0) - ln_gamma(g)
-                 - 0.5 * ln_gamma(g)) / (2.0 * math.sqrt(2.0))
-    psg = digamma(g)
     if alpha == 2:
-        coeffs = [(-psg, 1.0)]
-    elif alpha == 4:
-        coeffs = [(1.0 - psg, 1.0), (-(g - 1.0), 0.0)]
-    else:
-        coeffs = [(1.5 - psg, 1.0), (-(g - 1.0), 0.0),
-                  (-(g - 1.0) * (g - 2.0) / 2.0, 0.0)]
-    return C, coeffs
+        return [(0.0, 1.0)]
+    if alpha == 4:
+        return [(1.0, 1.0), (-(g - 1.0), 0.0)]
+    return [(1.5, 1.0), (-(g - 1.0), 0.0), (-(g - 1.0) * (g - 2.0) / 2.0, 0.0)]
 
 
 def phi1_eval(x, alpha: int, gamma: float):
     """First-order wavefunction correction (vectorized in x > 0)."""
-    C, coeffs = phi1_structure(alpha, gamma)
+    coeffs = phi1_structure(alpha, gamma)
+    C = math.exp(ln_gamma(gamma - alpha / 2.0) - 1.5 * ln_gamma(gamma)
+                 ) / (2.0 * math.sqrt(2.0))
     x = np.asarray(x, dtype=float)
     z = x * x
-    L = np.log(z)
+    L = np.log(z) - digamma(gamma)
     acc = np.zeros_like(z)
-    for k, (p, q) in enumerate(coeffs):
-        acc = acc + (p + q * L) * z ** (-float(k))
+    for k, (c, q) in enumerate(coeffs):
+        acc = acc + (c + q * L) * z ** (-float(k))
     out = C * np.exp((gamma - 0.5) * np.log(x) - 0.5 * z) * acc
     return out if out.ndim else float(out)
 
 
-# Gamma-type moments with analytic continuation in s:
-#   int_0^inf x^(2s-1) e^(-x^2) dx            = Gamma(s)/2
-#   int_0^inf x^(2s-1) e^(-x^2) log(x^2) dx   = Gamma(s) psi(s) / 2
-#   int_0^inf x^(2s-1) e^(-x^2) log^2(x^2) dx = Gamma(s)(psi(s)^2+psi'(s))/2
-# continued to negative non-integer s via the reflection formulas.
+# With s = gamma - m, the moments int_0^inf x^(2s-1) e^(-x^2) (log x^2 -
+# psi(gamma))^j dx are Gamma(s)/2 times 1, dpsi and dpsi^2 + psi'(s) for
+# j = 0, 1, 2, where dpsi = psi(s) - psi(gamma); and C^2 Gamma(s)/2 =
+# eps1^2/16 Gamma(gamma-m)/Gamma(gamma).  m is whole, so the integer-shift
+# recurrences (DLMF 5.5.1, 5.5.2, 5.15.5) make every factor but psi'(gamma)
+# rational in gamma, and continue the moments analytically in gamma where
+# the integral diverges at the origin.
 
 _POLE_TOL = 1e-9
 
 
-def _gamma_any(s: float) -> float:
-    if s > 0.0:
-        return math.exp(ln_gamma(s))
-    if abs(s - round(s)) < _POLE_TOL:
-        raise DomainError("gamma pole at s = %g" % s)
-    return math.pi / (math.sin(math.pi * s) * math.exp(ln_gamma(1.0 - s)))
-
-
-def _digamma_any(s: float) -> float:
-    if s > 0.0:
-        return digamma(s)
-    if abs(s - round(s)) < _POLE_TOL:
-        raise DomainError("digamma pole at s = %g" % s)
-    return digamma(1.0 - s) - math.pi / math.tan(math.pi * s)
-
-
-def _trigamma_any(s: float) -> float:
-    if s > 0.0:
-        return trigamma(s)
-    if abs(s - round(s)) < _POLE_TOL:
-        raise DomainError("trigamma pole at s = %g" % s)
-    return -trigamma(1.0 - s) + (math.pi / math.sin(math.pi * s)) ** 2
-
-
-def _j0(s):
-    return 0.5 * _gamma_any(s)
-
-
-def _j1(s):
-    return 0.5 * _gamma_any(s) * _digamma_any(s)
-
-
-def _j2(s):
-    ps = _digamma_any(s)
-    return 0.5 * _gamma_any(s) * (ps * ps + _trigamma_any(s))
-
-
 def phi1_weighted_overlap(alpha: int, gamma: float, beta: float) -> float:
-    """(phi1, x^(-beta) phi1), evaluated termwise through the gamma-type
-    moments above.
-
-    For beta large enough the defining integral diverges at the origin;
-    the termwise gamma-function values provide its analytic continuation
-    in gamma, which is the quantity entering the residual bound.  Poles at
-    nonpositive-integer gamma arguments raise a domain error.
-    """
-    C, coeffs = phi1_structure(alpha, gamma)
-    s0 = gamma - beta / 2.0
+    """(phi1, x^(-beta) phi1) for whole beta/2 >= 0, termwise by the moments
+    above.  It equals the integral only for gamma > beta/2 + alpha - 2;
+    below that it is the analytic continuation in gamma, whose poles at
+    whole gamma <= beta/2 + alpha - 2 raise a domain error."""
+    coeffs = phi1_structure(alpha, gamma)
+    if not 0.0 <= beta < math.inf or beta % 2.0:
+        raise DomainError("phi1_weighted_overlap needs beta/2 a whole number "
+                          ">= 0, got beta = %r" % beta)
+    b, h = int(beta) // 2, int(alpha) // 2
+    # moments[m] = (Gamma(gamma-m)/Gamma(gamma), dpsi, psi'(gamma-m))
+    r, d, t = 1.0, 0.0, trigamma(gamma)
+    moments = [(r, d, t)]
+    for j in range(1, max(b + 2 * len(coeffs) - 2, h) + 1):
+        s = gamma - j
+        if abs(s) < _POLE_TOL:
+            raise DomainError("phi1 moments have a pole at gamma = %g" % gamma)
+        r, d, t = r / s, d - 1.0 / s, t + 1.0 / (s * s)
+        moments.append((r, d, t))
     total = 0.0
-    for k, (p, q) in enumerate(coeffs):
-        for kp, (pp, qp) in enumerate(coeffs):
-            s = s0 - k - kp
-            total += (p * pp * _j0(s) + (p * qp + q * pp) * _j1(s)
-                      + q * qp * _j2(s))
-    return C * C * total
+    for k, (c, q) in enumerate(coeffs):
+        for kp, (cp, qp) in enumerate(coeffs):
+            r, d, t = moments[b + k + kp]
+            total += r * (c * cp + (c * qp + q * cp) * d
+                          + q * qp * (d * d + t))
+    e1 = moments[h][0]  # Gamma(gamma - alpha/2) / Gamma(gamma)
+    return e1 * e1 / 16.0 * total
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,10 @@ def epsilon2_hypergeom(alpha: float, gamma: float) -> float:
     return -(alpha * alpha / (16.0 * gamma)) * ratio * f
 
 
+_EPS2_GAMMA_MIN = {2: 1.0, 4: 3.0, 6: 5.0}
+_EPS3_GAMMA_MIN = {2: 1.0, 4: 4.0, 6: 7.0}
+
+
 def epsilon2_closed(alpha: int, gamma: float) -> float:
     """Closed second-order coefficient for alpha in {2, 4, 6}.
 
@@ -61,55 +65,49 @@ def epsilon2_closed(alpha: int, gamma: float) -> float:
     validated against the sum-over-states oracle (see tests); a competing
     transcription with cubic (40, -57, 8, -1) fails that check.
     """
+    if alpha not in _EPS2_GAMMA_MIN:
+        raise DomainError("epsilon2_closed supports alpha in (2, 4, 6)")
+    if gamma <= _EPS2_GAMMA_MIN[alpha]:
+        raise DomainError("epsilon2_closed(alpha=%d) needs gamma > %g"
+                          % (alpha, _EPS2_GAMMA_MIN[alpha]))
     g = gamma
     if alpha == 2:
-        if g <= 1.0:
-            raise DomainError("epsilon2_closed(alpha=2) needs gamma > 1")
         return -1.0 / (4.0 * (g - 1.0) ** 3)
     if alpha == 4:
-        if g <= 3.0:
-            raise DomainError("epsilon2_closed(alpha=4) needs gamma > 3")
         return -(4.0 * g * g - 15.0 * g + 13.0) / (
             4.0 * (g - 1.0) ** 3 * (g - 2.0) ** 3 * (g - 3.0))
-    if alpha == 6:
-        if g <= 5.0:
-            raise DomainError("epsilon2_closed(alpha=6) needs gamma > 5")
-        e1 = 1.0 / ((g - 1.0) * (g - 2.0) * (g - 3.0))
-        bracket = ((g - 2.0) * (g - 1.0) / ((g - 5.0) * (g - 4.0))
-                   + 2.0 * (g - 1.0) / (g - 4.0)
-                   + (40.0 - 57.0 * g + 24.0 * g * g - 3.0 * g ** 3)
-                   / ((g - 3.0) * (g - 2.0) * (g - 1.0)))
-        # -(36/(16 g)) eps1^2 * 4F3(1,1,4,4;2,2,g+1;1), with the 4F3 in its
-        # closed form (g/18) * bracket
-        return -(36.0 / (16.0 * g)) * e1 * e1 * (g / 18.0) * bracket
-    raise DomainError("epsilon2_closed supports alpha in (2, 4, 6)")
+    e1 = 1.0 / ((g - 1.0) * (g - 2.0) * (g - 3.0))
+    bracket = ((g - 2.0) * (g - 1.0) / ((g - 5.0) * (g - 4.0))
+               + 2.0 * (g - 1.0) / (g - 4.0)
+               + (40.0 - 57.0 * g + 24.0 * g * g - 3.0 * g ** 3)
+               / ((g - 3.0) * (g - 2.0) * (g - 1.0)))
+    # -(36/(16 g)) eps1^2 * 4F3(1,1,4,4;2,2,g+1;1), with the 4F3 in its
+    # closed form (g/18) * bracket
+    return -(36.0 / (16.0 * g)) * e1 * e1 * (g / 18.0) * bracket
 
 
 def epsilon3_closed(alpha: int, gamma: float) -> float:
     """Closed third-order coefficient for alpha in {2, 4, 6}."""
+    if alpha not in _EPS3_GAMMA_MIN:
+        raise DomainError("epsilon3_closed supports alpha in (2, 4, 6)")
+    if gamma <= _EPS3_GAMMA_MIN[alpha]:
+        raise DomainError("epsilon3_closed(alpha=%d) needs gamma > %g"
+                          % (alpha, _EPS3_GAMMA_MIN[alpha]))
     g = gamma
     if alpha == 2:
         # third Taylor coefficient of the exact energy 2 + 2 sqrt((g-1)^2 + lam)
-        if g <= 1.0:
-            raise DomainError("epsilon3_closed(alpha=2) needs gamma > 1")
         return 1.0 / (8.0 * (g - 1.0) ** 5)
     if alpha == 4:
-        if g <= 4.0:
-            raise DomainError("epsilon3_closed(alpha=4) needs gamma > 4")
         num = (16.0 * g ** 5 - 175.0 * g ** 4 + 742.0 * g ** 3
                - 1525.0 * g * g + 1520.0 * g - 590.0)
         return num / (8.0 * (g - 4.0) * (g - 3.0) ** 2
                       * (g - 2.0) ** 5 * (g - 1.0) ** 5)
-    if alpha == 6:
-        if g <= 7.0:
-            raise DomainError("epsilon3_closed(alpha=6) needs gamma > 7")
-        i1 = (192088.0 - 655905.0 * g + 945811.0 * g ** 2 - 751923.0 * g ** 3
-              + 360811.0 * g ** 4 - 107151.0 * g ** 5 + 19257.0 * g ** 6
-              - 1917.0 * g ** 7 + 81.0 * g ** 8)
-        i2 = (8.0 * (g - 7.0) * (g - 5.0) ** 2 * (g - 4.0)
-              * (g - 3.0) ** 5 * (g - 2.0) ** 5 * (g - 1.0) ** 5)
-        return i1 / i2
-    raise DomainError("epsilon3_closed supports alpha in (2, 4, 6)")
+    i1 = (192088.0 - 655905.0 * g + 945811.0 * g ** 2 - 751923.0 * g ** 3
+          + 360811.0 * g ** 4 - 107151.0 * g ** 5 + 19257.0 * g ** 6
+          - 1917.0 * g ** 7 + 81.0 * g ** 8)
+    i2 = (8.0 * (g - 7.0) * (g - 5.0) ** 2 * (g - 4.0)
+          * (g - 3.0) ** 5 * (g - 2.0) ** 5 * (g - 1.0) ** 5)
+    return i1 / i2
 
 
 def _series_tail(t_last: float, t_prev: float, n_last: int) -> float:
@@ -234,10 +232,6 @@ class PerturbationCoefficients:
         if p >= 3:
             out += lam ** 3 * self.eps3
         return out
-
-
-_EPS2_GAMMA_MIN = {2: 1.0, 4: 3.0, 6: 5.0}
-_EPS3_GAMMA_MIN = {2: 1.0, 4: 4.0, 6: 7.0}
 
 
 def coefficients(params: model.OscillatorParams) -> PerturbationCoefficients:

@@ -26,6 +26,9 @@ from .specfun import (DomainError, HypergeometricSpec, gauss_2f1_unit,
                       pfq, trigamma)
 
 
+_AGREE_ABS_FLOOR = 1e-12  # absolute slack of SeriesCheck.agrees
+
+
 @dataclass(frozen=True)
 class SeriesCheck:
     """Closed value vs truncated oracle, with the truncation's own tail
@@ -35,12 +38,11 @@ class SeriesCheck:
     truncated_value: float
     terms_used: Union[int, tuple]
     tail_estimate: float
-    abs_floor: float = 1e-12
 
     @property
     def agrees(self) -> bool:
         return bool(abs(self.closed_value - self.truncated_value)
-                    <= self.tail_estimate + self.abs_floor)
+                    <= self.tail_estimate + _AGREE_ABS_FLOOR)
 
 
 def double_sum_truncated(alpha: int, gamma: float, m_terms: int) -> SeriesValue:

@@ -194,12 +194,16 @@ def _terminating_sum(spec: HypergeometricSpec, m: int) -> float:
     return math.fsum(total)
 
 
-def _direct_sum(spec: HypergeometricSpec, tol: float, max_terms: int) -> float:
+_PFQ_TOL = 1e-14            # relative tail bound of a direct summation
+_PFQ_MAX_TERMS = 10_000_000
+
+
+def _direct_sum(spec: HypergeometricSpec) -> float:
     num, den, z = spec.numerators, spec.denominators, spec.argument
     t = 1.0
     s = 1.0
     comp = 0.0  # Kahan compensation
-    for k in range(1, max_terms):
+    for k in range(1, _PFQ_MAX_TERMS):
         r = z / (k * math.prod(b + k - 1.0 for b in den))
         for a in num:
             r *= a + k - 1.0
@@ -211,11 +215,11 @@ def _direct_sum(spec: HypergeometricSpec, tol: float, max_terms: int) -> float:
         q = max(abs(r), abs(z))
         if q < 1.0 and k > 20:
             tail = abs(t) * q / (1.0 - q)
-            if tail <= tol * max(abs(s), 1.0):
+            if tail <= _PFQ_TOL * max(abs(s), 1.0):
                 return s
     raise ConvergenceError(
         "pFq did not converge within %d terms (achieved ~%.1e)"
-        % (max_terms, abs(t)))
+        % (_PFQ_MAX_TERMS, abs(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +311,7 @@ def _unit_sum_em(spec: HypergeometricSpec) -> float:
     return direct + tail
 
 
-def pfq(spec: HypergeometricSpec, tol: float = 1e-14,
-        max_terms: int = 10_000_000) -> float:
+def pfq(spec: HypergeometricSpec) -> float:
     """Evaluate the generalized hypergeometric series pFq.
 
     Terminating series are summed exactly.  For |z| < 1 the series is
@@ -326,10 +329,10 @@ def pfq(spec: HypergeometricSpec, tol: float = 1e-14,
         return 1.0
     p, q = len(spec.numerators), len(spec.denominators)
     if abs(z) < 1.0 and p <= q + 1:
-        return _direct_sum(spec, tol, max_terms)
+        return _direct_sum(spec)
     if z == 1.0:
         if p <= q:
-            return _direct_sum(spec, tol, max_terms)
+            return _direct_sum(spec)
         if p == q + 1:
             if spec.excess <= 0.0:
                 raise DomainError(

@@ -64,6 +64,82 @@ def test_residual_integral_domain():
         bounds.residual_integral(4, 3.5)
     with pytest.raises(DomainError):
         bounds.residual_integral(3, 8.0)
+    # (phi1, x^(-2 alpha) phi1) has poles at whole gamma <= 2 alpha - 2
+    for alpha, gamma in ((6, 8.0), (4, 6.0)):
+        with pytest.raises(DomainError):
+            bounds.residual_integral(alpha, gamma)
+
+
+# ---------------------------------------------------------------------------
+# The moments of phi1 against a 40-digit termwise evaluation: Gamma, psi and
+# psi' taken directly at s = gamma - beta/2 - k - k', negative s included.
+# ---------------------------------------------------------------------------
+
+def _mp_overlap(mp, alpha, gamma, beta):
+    g = mp.mpf(gamma)
+    h = alpha // 2
+    C = mp.gamma(g - h) / (2 * mp.sqrt(2) * mp.gamma(g) ** mp.mpf(1.5))
+    psg = mp.digamma(g)
+    p = [[-psg], [1 - psg, 1 - g], [mp.mpf(1.5) - psg, 1 - g,
+                                    -(g - 1) * (g - 2) / 2]][h - 1]
+    q = [1] + [0] * (h - 1)
+    total = 0
+    for k in range(h):
+        for kp in range(h):
+            s = g - mp.mpf(beta) / 2 - k - kp
+            G, d = mp.gamma(s), mp.digamma(s)
+            total += G * (p[k] * p[kp] + (p[k] * q[kp] + q[k] * p[kp]) * d
+                          + q[k] * q[kp] * (d * d + mp.psi(1, s))) / 2
+    return C * C * total
+
+
+# phi1 needs gamma > alpha/2; points with gamma <= beta/2 + alpha - 2, such
+# as (4, 4.5, beta = 8), test the continuation
+_MOMENT_POINTS = [(a, g) for a in (2, 4, 6) for g in (3.0, 4.5, 8.5, 12.25, 40.5)
+                  if g > a / 2]
+
+
+@pytest.mark.parametrize("alpha,gamma", _MOMENT_POINTS)
+def test_phi1_weighted_overlap_vs_mpmath(alpha, gamma):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for beta in (0, alpha, 2 * alpha):
+            if gamma.is_integer() and gamma <= beta / 2 + alpha - 2:
+                continue  # a pole
+            ref = _mp_overlap(mpmath, alpha, gamma, beta)
+            val = model.phi1_weighted_overlap(alpha, gamma, float(beta))
+            assert float(abs(val - ref) / abs(ref)) <= 1e-13, beta
+
+
+@pytest.mark.parametrize("alpha,gamma", [(a, g) for a, g in _MOMENT_POINTS
+                                         if g > a])
+def test_residual_integral_vs_mpmath(alpha, gamma):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        g = mpmath.mpf(gamma)
+        e1 = mpmath.gamma(g - alpha // 2) / mpmath.gamma(g)
+        ref = (_mp_overlap(mpmath, alpha, gamma, 2 * alpha)
+               - 2 * e1 * _mp_overlap(mpmath, alpha, gamma, alpha)
+               + e1 * e1 * _mp_overlap(mpmath, alpha, gamma, 0))
+        val = bounds.residual_integral(alpha, gamma)
+        assert float(abs(val - ref) / abs(ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("beta", [3.0, 1.0, -2.0, math.inf, math.nan])
+def test_phi1_weighted_overlap_needs_even_whole_beta(beta):
+    with pytest.raises(DomainError):
+        model.phi1_weighted_overlap(4, 4.5, beta)
+
+
+def test_residual_integral_needs_no_gamma_function(monkeypatch):
+    # every moment is rational in gamma plus one trigamma(gamma)
+    def refuse(*args):
+        raise AssertionError("gamma-function call in the moments")
+
+    monkeypatch.setattr(model, "ln_gamma", refuse)
+    monkeypatch.setattr(model, "digamma", refuse)
+    for alpha, gamma in ((2, 3.0), (4, 4.5), (6, 8.5)):
+        assert bounds.residual_integral(alpha, gamma) > 0.0
 
 
 def test_first_order_norm_digits():

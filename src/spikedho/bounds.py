@@ -45,8 +45,9 @@ def variational_upper(params: model.OscillatorParams,
     lam = params.lam
     if not normalized:
         return co.energy(lam, 3)
+    pns = perturb.phi1_norm_sq(params.alpha, params.gamma)
     correction = lam * lam * co.eps2 + lam ** 3 * co.eps3
-    correction /= 1.0 + lam * lam * co.phi1_norm_sq
+    correction /= 1.0 + lam * lam * pns
     return co.E0 + lam * co.eps1 + correction
 
 
@@ -83,7 +84,7 @@ class BoundReport:
 def bound_report(params: model.OscillatorParams) -> BoundReport:
     """Symmetric bounds E_p -/+ ||mu_p|| for p = 1, 2, 3, the optimal pair
     and the variational estimate, from one set of lambda-independent
-    constants (the coefficients and the residual integral R).
+    constants (the coefficients, (phi1, phi1) and the residual integral R).
 
     With the normalized trial state N1 (psi0 + lam phi1),
 
@@ -97,9 +98,9 @@ def bound_report(params: model.OscillatorParams) -> BoundReport:
     for lam < |eps2| / eps3, and optimal_valid records that condition.
     """
     co = _third_order_coefficients(params)
-    R = residual_integral(int(params.alpha), params.gamma)
-    lam = params.lam
-    n1sq = 1.0 / (1.0 + lam * lam * co.phi1_norm_sq)
+    a, g, lam = params.alpha, params.gamma, params.lam
+    R = residual_integral(int(a), g)
+    n1sq = 1.0 / (1.0 + lam * lam * perturb.phi1_norm_sq(a, g))
     d2 = lam * lam * co.eps2
     per_order = {}
     for p, delta in ((1, 0.0), (2, d2), (3, d2 + lam ** 3 * co.eps3)):

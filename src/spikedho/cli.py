@@ -225,14 +225,15 @@ def cmd_solve(cfg: RunConfig):
 
 def cmd_coeffs(cfg: RunConfig):
     params = model.make_params(cfg.resolved_A(), cfg.alpha, 0.0)
+    a, g = params.alpha, params.gamma
     co = perturb.coefficients(params)
     rows = [{
-        "A": cfg.resolved_A(), "alpha": cfg.alpha, "gamma": params.gamma,
+        "A": cfg.resolved_A(), "alpha": cfg.alpha, "gamma": g,
         "E0": co.E0, "eps1": co.eps1,
         "eps2": co.eps2 if co.eps2 is not None else "",
         "eps3": co.eps3 if co.eps3 is not None else "",
         "valid_order": co.valid_order,
-        "phi1_norm_sq": co.phi1_norm_sq if co.phi1_norm_sq is not None else "",
+        "phi1_norm_sq": perturb.phi1_norm_sq(a, g) if a < g + 2.0 else "",
     }]
     cols = ["A", "alpha", "gamma", "E0", "eps1", "eps2", "eps3",
             "valid_order", "phi1_norm_sq"]

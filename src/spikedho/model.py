@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import (DomainError, _leggauss_cached, digamma, ln_gamma,
-                      ln_pochhammer, trigamma)
+from .specfun import DomainError, digamma, ln_gamma, ln_pochhammer, trigamma
 
 CLOSED_FORM_ALPHAS = (2, 4, 6)
 
@@ -284,7 +283,9 @@ def half_line_nodes(x_min: float = 1e-20, x_max: float = 35.0,
     inside [x_min, x_max]); log-substitution x = e^t."""
     t_lo, t_hi = math.log(x_min), math.log(x_max)
     npan = int(math.ceil((t_hi - t_lo) / panel_width))
-    xg, wg = _leggauss_cached(order)
+    # imported here, so that only callers of the quadrature load it
+    from numpy.polynomial.legendre import leggauss
+    xg, wg = leggauss(order)
     edges = np.linspace(t_lo, t_hi, npan + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     hw = 0.5 * (edges[1:] - edges[:-1])

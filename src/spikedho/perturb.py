@@ -32,10 +32,14 @@ class SeriesValue(NamedTuple):
 
 
 def epsilon1(alpha: float, gamma: float) -> float:
-    """First-order coefficient Gamma(gamma - alpha/2) / Gamma(gamma)."""
+    """First-order coefficient Gamma(gamma - alpha/2) / Gamma(gamma); for
+    alpha in {2, 4, 6} the product 1 / prod_{j=1..alpha/2} (gamma - j)."""
     if 2.0 * gamma <= alpha:
         raise DomainError("epsilon1 needs 2*gamma > alpha")
-    return math.exp(ln_gamma(gamma - alpha / 2.0) - ln_gamma(gamma))
+    h = alpha / 2.0
+    if alpha in model.CLOSED_FORM_ALPHAS:
+        return 1.0 / math.prod(gamma - j for j in range(1, int(h) + 1))
+    return math.exp(ln_gamma(gamma - h) - ln_gamma(gamma))
 
 
 def epsilon2_hypergeom(alpha: float, gamma: float) -> float:
@@ -217,7 +221,6 @@ class PerturbationCoefficients:
     eps2: Optional[float]
     eps3: Optional[float]
     valid_order: int
-    phi1_norm_sq: Optional[float]
 
     def energy(self, lam: float, p: int) -> float:
         """Truncated energy E_p(lam) = E0 + sum_{i<=p} lam^i eps_i."""
@@ -250,9 +253,8 @@ def coefficients(params: model.OscillatorParams) -> PerturbationCoefficients:
     elif a < g + 1.0:
         e2 = epsilon2_hypergeom(a, g)
         order = 2
-    pns = phi1_norm_sq(a, g) if a < g + 2.0 else None
     return PerturbationCoefficients(E0=2.0 * g, eps1=e1, eps2=e2, eps3=e3,
-                                    valid_order=order, phi1_norm_sq=pns)
+                                    valid_order=order)
 
 
 def energy_series(params: model.OscillatorParams, p: int) -> float:

@@ -8,12 +8,12 @@ the band matrix P(sigma) = G (D - sigma) G^T + lam I, whose Cholesky factor
 exists exactly when sigma is below the ground eigenvalue.  Such a rung is
 solved by shift-invert steps at O(h N) cost per solve, started from the
 previous rung's vector; the Rayleigh quotient and residual are taken on H
-itself, and Temple's inequality with theta_1 >= 2 gamma + 4 (H >= D)
-certifies the rung to 8 eps relative.  Dense `eigvalsh` serves non-integer
-alpha/2, ladders with H_00 = 2 gamma + lam eps1 >= 2 gamma + 4 (Temple's
-bound may not apply), and every rung from the first one the banded steps
-fail to certify.  The first rung is always dense; its eigenvector seeds
-the banded steps.
+itself by 2h running sums, and Temple's inequality with
+theta_1 >= 2 gamma + 4 (H >= D) certifies the rung to 8 eps relative.
+Dense `eigvalsh` serves non-integer alpha/2, ladders with
+H_00 = 2 gamma + lam eps1 >= 2 gamma + 4 (Temple's bound may not apply),
+and every rung from the first one the banded steps fail to certify.  The
+first rung is always dense; its eigenvector seeds the banded steps.
 """
 
 from __future__ import annotations
@@ -65,6 +65,20 @@ def _inverse_factor(left, right, h):
     return g
 
 
+def _factor_products(left, right, h, v):
+    """(B^T v, B B^T v) for alpha = 2h, h whole, by 2h running sums: the
+    Toeplitz part of B is the series of (1 - x)^-h, so T y is h cumulative
+    sums of y, and T^T y the same sums taken from the end."""
+    y = left * v
+    for _ in range(h):
+        y = np.cumsum(y[::-1])[::-1]
+    w = right * y
+    y = right * w
+    for _ in range(h):
+        y = np.cumsum(y)
+    return w, left * y
+
+
 def _band_solve(p, b):
     """Solve P y = b for the symmetric band matrix with p[s][i] = P[i, i-s]
     by Cholesky, or return None unless P is positive definite.  L is kept
@@ -100,16 +114,16 @@ def _banded_rung(x, params, factor, h):
     """Shift-invert steps on H from the vector x until Temple's bound
     certifies the Rayleigh quotient; returns (value, width, vector), or
     None when the rung is not certified within _BANDED_STEPS steps."""
-    left, t, right = factor
+    left, _, right = factor
     n, lam = len(x), params.lam
     d = 4.0 * np.arange(n) + 2.0 * params.gamma
     gap = 2.0 * params.gamma + 4.0  # lower bound on the second eigenvalue
     g = _inverse_factor(left, right, h)
     for step in range(_BANDED_STEPS + 1):
         x = x / math.sqrt(x @ x)
-        w = right * np.convolve((left * x)[::-1], t)[n - 1::-1]     # B^T x
+        w, vx = _factor_products(left, right, h, x)      # B^T x and V x
         theta = float(d @ (x * x) + lam * (w @ w))
-        r = d * x + lam * left * np.convolve(t, right * w)[:n] - theta * x
+        r = d * x + lam * vx - theta * x
         if theta >= gap:
             return None
         width = float(r @ r) / (gap - theta)

@@ -9,7 +9,6 @@ interface.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -267,9 +266,19 @@ def _log_term_ratio(lnk, kcap, kref: float, num, den, s: float):
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _leggauss_cached(order):
-    return np.polynomial.legendre.leggauss(order)
+# The 20-point Gauss-Legendre rule on [-1, 1], bit for bit
+# numpy.polynomial.legendre.leggauss(20), which is exactly symmetric:
+# the positive nodes and their weights.
+_GL20_X = (0.07652652113349734, 0.22778585114164507, 0.37370608871541955,
+           0.5108670019508271, 0.636053680726515, 0.7463319064601508,
+           0.8391169718222188, 0.912234428251326, 0.9639719272779138,
+           0.993128599185095)
+_GL20_W = (0.15275338713072628, 0.14917298647260424, 0.1420961093183824,
+           0.1316886384491769, 0.1181945319615186, 0.1019301198172407,
+           0.08327674157670471, 0.06267204833410879, 0.040601429800386446,
+           0.017614007139150893)
+_GL20_NODES = np.r_[-np.array(_GL20_X[::-1]), _GL20_X]
+_GL20_WEIGHTS = np.r_[_GL20_W[::-1], _GL20_W]
 
 
 def _unit_sum_em(spec: HypergeometricSpec) -> float:
@@ -295,7 +304,7 @@ def _unit_sum_em(spec: HypergeometricSpec) -> float:
     # range is completed in closed form by the end value over s.
     w_frozen = math.ceil(700.0 - math.log(K))
     npan = int(math.ceil(min(max(30.0, 40.0 / s), w_frozen)))
-    xg, wg = _leggauss_cached(20)
+    xg, wg = _GL20_NODES, _GL20_WEIGHTS
     centers = np.arange(npan) + 0.5
     w = np.r_[(centers[:, None] + 0.5 * xg[None, :]).ravel(), npan]
     lnk = math.log(K) + w

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from spikedho import solver
+from spikedho import perturb, solver
 from spikedho.cli import build_parser, main
 
 
@@ -27,6 +27,18 @@ def test_coeffs_csv(capsys):
     fields = lines[1].split(",")
     assert float(fields[3]) == 9.0            # E0
     assert abs(float(fields[4]) - 4.0 / 35.0) < 1e-12
+
+
+def test_coeffs_phi1_norm_column(capsys):
+    code, out = run(["coeffs", "--A", "12", "--format", "json"], capsys)
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert row["phi1_norm_sq"] == perturb.phi1_norm_sq(4.0, 4.5)
+    # alpha >= gamma + 2 (gamma = 3.5): no (phi1, phi1), an empty column
+    code, out = run(["coeffs", "--A", "6", "--alpha", "5.5"], capsys)
+    assert code == 0
+    header, values = out.strip().splitlines()
+    assert dict(zip(header.split(","), values.split(",")))["phi1_norm_sq"] == ""
 
 
 def test_l_option_equals_A(capsys):

@@ -9,7 +9,7 @@ import pytest
 
 from spikedho import model, perturb
 from spikedho.fixtures import matches_printed
-from spikedho.specfun import DomainError
+from spikedho.specfun import DomainError, pfq
 
 
 def rel_err(a, b):
@@ -28,6 +28,17 @@ def test_epsilon1_examples():
         assert rel_err(perturb.epsilon1(2.0, g), 1.0 / (g - 1.0)) < 1e-13
     with pytest.raises(DomainError):
         perturb.epsilon1(4.0, 2.0)
+
+
+def test_epsilon1_closed_alphas_vs_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for alpha in (2, 4, 6):
+            for g in (3.5, 4.5, 8.5, 12.25, 20.0, 40.5):
+                ref = (mpmath.gamma(mpmath.mpf(g) - alpha // 2)
+                       / mpmath.gamma(mpmath.mpf(g)))
+                value = perturb.epsilon1(float(alpha), g)
+                assert abs(value - ref) <= 1e-15 * ref
 
 
 def test_epsilon_signs():
@@ -150,6 +161,22 @@ def test_coefficients_validity_orders():
     co = perturb.coefficients(model.make_params(12.0, 3.0, 0.001))
     assert co.valid_order == 2
     assert rel_err(co.eps2, perturb.epsilon2_hypergeom(3.0, 4.5)) < 1e-13
+
+
+def test_coefficients_evaluate_only_the_eps2_hypergeometric(monkeypatch):
+    def no_pfq(spec):
+        raise AssertionError("pfq called for %r" % (spec,))
+
+    monkeypatch.setattr(perturb, "pfq", no_pfq)
+    for alpha in (2.0, 4.0, 6.0):
+        co = perturb.coefficients(model.make_params(56.0, alpha, 0.1))
+        assert co.valid_order == 3
+    specs = []
+    monkeypatch.setattr(perturb, "pfq",
+                        lambda spec: specs.append(spec) or pfq(spec))
+    co = perturb.coefficients(model.make_params(56.0, 2.7, 0.1))
+    assert co.valid_order == 2 and len(specs) == 1
+    assert len(specs[0].numerators) == 4        # the 4F3 of eps2
 
 
 def test_energy_series_rejects_unavailable_order():

@@ -90,6 +90,20 @@ def test_inverse_factor_inverts_connection_factor(h):
     assert np.max(np.abs(dense @ b - np.eye(64))) < 1e-12
 
 
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_factor_products_match_dense_factor(h):
+    n = 2048
+    x = np.random.default_rng(h).standard_normal(n)
+    for gamma in (4.5, 8.5):
+        left, t, right = model.connection_factor(2.0 * h, gamma, n)
+        toeplitz = np.lib.stride_tricks.sliding_window_view(
+            np.r_[np.zeros(n - 1), t], n)[:, ::-1]
+        b = toeplitz * left[:, None] * right
+        w, vx = solver._factor_products(left, right, h, x)
+        for fast, dense in ((w, b.T @ x), (vx, b @ (b.T @ x))):
+            assert np.max(np.abs(fast - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
 @pytest.mark.parametrize("alpha, A", [(2.0, 1.0), (2.0, 12.0), (4.0, 12.0),
                                       (4.0, 20.0), (6.0, 30.0)])
 def test_banded_rungs_match_dense(alpha, A):

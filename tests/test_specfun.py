@@ -6,11 +6,16 @@ here as literals; everything else is checked through internal identities
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from spikedho import specfun
 from spikedho.specfun import (ConvergenceError, DomainError,
                               HypergeometricSpec, digamma, gamma_value,
                               gauss_2f1_unit, ln_gamma, ln_pochhammer, pfq,
@@ -199,6 +204,24 @@ def test_pfq_unit_argument_small_excess(s):
     # range where the Stirling remainders freeze
     val = pfq(HypergeometricSpec((1.0, 1.0, 1.0), (2.0, 1.0 + s), 1.0))
     assert rel_err(val, s * trigamma(s)) < 1e-11
+
+
+def test_unit_argument_rule_is_leggauss_20():
+    from numpy.polynomial.legendre import leggauss
+    nodes, weights = leggauss(20)
+    assert specfun._GL20_NODES.tobytes() == nodes.tobytes()
+    assert specfun._GL20_WEIGHTS.tobytes() == weights.tobytes()
+
+
+def test_bound_report_leaves_numpy_polynomial_unimported():
+    # in a fresh process: this one may have imported numpy.polynomial
+    code = ("import sys; from spikedho import bounds, model; "
+            "bounds.bound_report(model.make_params(12, 4, 1e-3)); "
+            "sys.exit('numpy.polynomial' in sys.modules)")
+    src = str(Path(specfun.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_pfq_divergent_raises():

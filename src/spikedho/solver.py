@@ -5,12 +5,16 @@ at doubling basis sizes N, extrapolated until it settles.
 For alpha = 2h, h whole, the Toeplitz part of B is the series of
 (1 - x)^-h, so G = B^-1 has h + 1 diagonals and H - sigma is congruent to
 the band matrix P(sigma) = G (D - sigma) G^T + lam I, whose Cholesky factor
-exists exactly when sigma is below the ground eigenvalue.  Such a rung is
-solved by shift-invert steps at O(h N) cost per solve, started from the
-previous rung's vector; the Rayleigh quotient and residual are taken on H
-itself by 2h running sums, and Temple's inequality with
+exists exactly when sigma is below the ground eigenvalue.  For h <= 3
+(alpha in {2, 4, 6}) such a rung is solved by shift-invert steps, started
+from the previous rung's vector.  Each step factors P by one unrolled
+sweep that serves h = 1, 2 and 3 (`_band_factor`, O(N)) and substitutes
+on that factor (`_band_substitute`).  The Rayleigh quotient and residual
+are taken on H itself by 2h running sums, and Temple's inequality with
 theta_1 >= 2 gamma + 4 (H >= D) certifies the rung to 8 eps relative.
-Dense `eigvalsh` serves non-integer alpha/2, ladders with
+A ladder builds the connection factor once, at its largest size, and
+hands each banded rung the leading slices.
+Dense `eigvalsh` serves every other alpha, ladders with
 H_00 = 2 gamma + lam eps1 >= 2 gamma + 4 (Temple's bound may not apply),
 and every rung from the first one the banded steps fail to certify.  The
 first rung is always dense; its eigenvector seeds the banded steps.
@@ -79,35 +83,56 @@ def _factor_products(left, right, h, v):
     return w, left * y
 
 
-def _band_solve(p, b):
-    """Solve P y = b for the symmetric band matrix with p[s][i] = P[i, i-s]
-    by Cholesky, or return None unless P is positive definite.  L is kept
-    as h + 1 flat lists, so a solve allocates no list per row."""
-    h = len(p) - 1
-    n = len(b)
-    lb = [[0.0] * n for _ in p]    # lb[s][i] = L[i, i-s]
-    diag, z = lb[0], list(b)       # z = L^-1 b, then P^-1 b
-    for i in range(n):
-        top = h if i > h else i
-        d, acc_z = p[0][i], z[i]
-        for s in range(top, 0, -1):
-            j = i - s
-            acc = p[s][i]
-            for m in range(s + 1, top + 1):
-                acc -= lb[m][i] * lb[m - s][j]
-            lb[s][i] = v = acc / diag[j]
-            d -= v * v
-            acc_z -= v * z[j]
-        if not d > 0.0:
+def _band_factor(p):
+    """Cholesky factor L of the symmetric band matrix P with p[s][i] =
+    P[i, i-s] (0 for i < s), at most three sub-diagonals, as lists
+    (d, l1, l2, l3) with d[i] = L[i, i] and ls[i] = L[i, i-s]; None unless
+    P is positive definite.  The sweep keeps the last three rows of L in
+    locals and reads an absent diagonal as zero, so one loop serves h = 1,
+    2 and 3."""
+    p0, p1, p2, p3 = p + [[0.0] * len(p[0])] * (4 - len(p))
+    d, l1, l2, l3 = [], [], [], []
+    c1 = c2 = c3 = 1.0      # L[i-1, i-1], L[i-2, i-2], L[i-3, i-3]
+    a1 = a2 = b1 = 0.0      # L[i-1, i-2], L[i-2, i-3], L[i-1, i-3]
+    for q0, q1, q2, q3 in zip(p0, p1, p2, p3):
+        v3 = q3 / c3
+        v2 = (q2 - v3 * a2) / c2
+        v1 = (q1 - v2 * a1 - v3 * b1) / c1
+        a = q0 - v3 * v3 - v2 * v2 - v1 * v1
+        if not a > 0.0:
             return None
-        diag[i] = d = math.sqrt(d)
-        z[i] = acc_z / d
-    for i in range(n - 1, -1, -1):
-        acc = z[i]
-        for m in range(1, min(n - 1 - i, h) + 1):
-            acc -= lb[m][i + m] * z[i + m]
-        z[i] = acc / diag[i]
-    return np.array(z)
+        a = math.sqrt(a)
+        d.append(a)
+        l1.append(v1)
+        l2.append(v2)
+        l3.append(v3)
+        c1, c2, c3 = a, c1, c2
+        a1, a2, b1 = v1, a1, v2
+    return d, l1, l2, l3
+
+
+def _band_substitute(factor, b):
+    """Solve L L^T y = b for the factor of `_band_factor`."""
+    d, l1, l2, l3 = factor
+    z, z1, z2, z3 = [], 0.0, 0.0, 0.0               # z = L^-1 b
+    for a, v1, v2, v3, c in zip(d, l1, l2, l3, b):
+        z1, z2, z3 = (c - v3 * z3 - v2 * z2 - v1 * z1) / a, z1, z2
+        z.append(z1)
+    y, y1, y2, y3 = [], 0.0, 0.0, 0.0               # y = L^-T z
+    for a, c, v1, v2, v3 in zip(reversed(d), reversed(z),
+                                reversed(l1[1:] + [0.0]),
+                                reversed(l2[2:] + [0.0, 0.0]),
+                                reversed(l3[3:] + [0.0, 0.0, 0.0])):
+        y1, y2, y3 = (c - v1 * y1 - v2 * y2 - v3 * y3) / a, y1, y2
+        y.append(y1)
+    return np.array(y[::-1])
+
+
+def _band_solve(p, b):
+    """Solve P y = b as in `_band_factor`, or return None unless P is
+    positive definite."""
+    factor = _band_factor(p)
+    return None if factor is None else _band_substitute(factor, b)
 
 
 def _banded_rung(x, params, factor, h):
@@ -156,20 +181,24 @@ def _rungs(params: model.OscillatorParams, sizes):
     rung) for each of the increasing basis sizes."""
     alpha, gamma = params.alpha, params.gamma
     x = None  # the previous rung's ground vector while the ladder is banded
+    factor = None  # the connection factor at the top size, built once
     for n in sizes:
         if x is not None:
-            factor = model.connection_factor(alpha, gamma, n)
+            # each vector is a running product: its prefix is the size-n factor
+            if factor is None:
+                factor = model.connection_factor(alpha, gamma, sizes[-1])
             out = _banded_rung(np.concatenate((x, np.zeros(n - len(x)))),
-                               params, factor, int(alpha) // 2)
+                               params, [v[:n] for v in factor], int(alpha) // 2)
             if out is not None:
                 value, width, x = out
                 yield n, value, width
                 continue
             x = None
         h = build_hamiltonian(params, n)
-        # The first rung seeds the banded path where B^-1 is banded and
-        # Temple's bound applies: H_00 = 2 gamma + lam eps1 < 2 gamma + 4.
-        if n == sizes[0] and alpha % 2 == 0 and h[0, 0] < 2.0 * gamma + 4.0:
+        # The first rung seeds the banded path where B^-1 has at most four
+        # diagonals and Temple's bound applies: H_00 < 2 gamma + 4.
+        if (n == sizes[0] and alpha in model.CLOSED_FORM_ALPHAS
+                and h[0, 0] < 2.0 * gamma + 4.0):
             vals, vecs = np.linalg.eigh(h)
             x = vecs[:, 0]
         else:

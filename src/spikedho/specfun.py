@@ -298,7 +298,7 @@ def _unit_sum_em(spec: HypergeometricSpec) -> float:
     if not np.all(np.isfinite(terms)):
         raise ConvergenceError("pFq partial sums overflowed at unit argument")
     tK = terms[K]
-    direct = math.fsum(terms[:K])
+    direct = math.fsum(terms[:K].tolist())
     # tail integral, substitution k = K exp(w).  From w_frozen on, kcap is
     # frozen at e^700 and the integrand is exactly C exp(-s w), so a capped
     # range is completed in closed form by the end value over s.

@@ -1,6 +1,7 @@
 """Command-line interface tests: exit codes, output formats, file output,
 determinism and byte-exact csv output against the files in tests/data."""
 
+import csv
 import json
 from pathlib import Path
 
@@ -180,3 +181,19 @@ def test_csv_output_matches_golden_file(name, argv, capsys):
     code, out = run(argv, capsys)
     assert code == 0
     assert out.encode() == (DATA / name).read_bytes()
+
+
+def test_table1_matches_golden_file(capsys):
+    # dev_upper and dev_E are distances between close energies, so their
+    # last printed digits follow the BLAS; every other field is exact
+    code, out = run(["table1"], capsys)
+    assert code == 0
+    golden = (DATA / "table1.csv").read_text()
+    assert out.splitlines()[0] == golden.splitlines()[0]
+    got, want = (list(csv.DictReader(text.splitlines())) for text in (out, golden))
+    assert len(got) == len(want)
+    for row, ref in zip(got, want):
+        for key in ("lambda", "l", "E_upper", "E", "status"):
+            assert row[key] == ref[key]
+        for key in ("dev_upper", "dev_E"):
+            assert abs(float(row[key]) - float(ref[key])) <= 1e-13

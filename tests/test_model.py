@@ -149,6 +149,15 @@ def test_connection_factor_rebuilds_table_exactly():
                               model.matrix_element_table(alpha, gamma, size))
 
 
+@pytest.mark.parametrize("alpha", [2, 4, 6, 2.7])
+def test_connection_factor_prefix_is_smaller_factor(alpha):
+    # every vector is a running product, so a ladder slices one factor
+    full = model.connection_factor(alpha, 4.5, 2048)
+    for n in (1, 32, 64, 1000):
+        for whole, part in zip(full, model.connection_factor(alpha, 4.5, n)):
+            assert np.array_equal(whole[:n], part)
+
+
 @pytest.mark.parametrize("alpha,gamma", [(4, 4.5), (6, 8.0), (2.7, 3.5)])
 def test_connection_factor_v0_column_vs_mpmath(alpha, gamma):
     # V_0i = B_00 B_i0 = eps1 (-1)^i sqrt(i!/(gamma)_i) (h)_i/i!

@@ -104,6 +104,86 @@ def test_factor_products_match_dense_factor(h):
             assert np.max(np.abs(fast - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
+def reference_band_solve(p, b):
+    """The generic band Cholesky that `solver._band_solve` unrolls: any
+    number h of sub-diagonals, p[s][i] = P[i, i-s], None unless P is
+    positive definite."""
+    h = len(p) - 1
+    n = len(b)
+    lb = [[0.0] * n for _ in p]    # lb[s][i] = L[i, i-s]
+    diag, z = lb[0], list(b)       # z = L^-1 b, then P^-1 b
+    for i in range(n):
+        top = h if i > h else i
+        d, acc_z = p[0][i], z[i]
+        for s in range(top, 0, -1):
+            j = i - s
+            acc = p[s][i]
+            for m in range(s + 1, top + 1):
+                acc -= lb[m][i] * lb[m - s][j]
+            lb[s][i] = v = acc / diag[j]
+            d -= v * v
+            acc_z -= v * z[j]
+        if not d > 0.0:
+            return None
+        diag[i] = d = math.sqrt(d)
+        z[i] = acc_z / d
+    for i in range(n - 1, -1, -1):
+        acc = z[i]
+        for m in range(1, min(n - 1 - i, h) + 1):
+            acc -= lb[m][i + m] * z[i + m]
+        z[i] = acc / diag[i]
+    return np.array(z)
+
+
+def band_matrix(h, gamma, lam, sigma, n):
+    """The rows p[s] of P(sigma) = G (D - sigma) G^T + lam I, as in
+    `solver._banded_rung`."""
+    left, _, right = model.connection_factor(2.0 * h, gamma, n)
+    g = solver._inverse_factor(left, right, h)
+    e = 4.0 * np.arange(n) + 2.0 * gamma - sigma
+    p = np.zeros((h + 1, n))
+    for s in range(h + 1):
+        for m in range(s, h + 1):
+            p[s, m:] += g[m, m:] * g[m - s, m - s:n - s] * e[:n - m]
+    p[0] += lam
+    return p
+
+
+@pytest.mark.parametrize("h, gamma", [(1, 4.5), (2, 4.5), (3, 8.5)])
+@pytest.mark.parametrize("n", [32, 64, 2048])
+def test_band_solve_is_bit_identical_to_generic_loop(h, gamma, n):
+    lam = 1.0
+    p = band_matrix(h, gamma, lam, 2.0 * gamma - 0.5 * lam, n).tolist()
+    b = np.random.default_rng(n + h).standard_normal(n).tolist()
+    fast = solver._band_solve(p, b)
+    assert np.array_equal(fast, reference_band_solve(p, b))
+    assert np.array_equal(fast, solver._band_substitute(solver._band_factor(p), b))
+
+
+@pytest.mark.parametrize("n", [32, 64, 2048])
+def test_band_solve_matches_dense_solve(n):
+    gamma, lam = 4.5, 1.0
+    p = band_matrix(1, gamma, lam, 2.0 * gamma - 0.5 * lam, n)
+    dense = np.diag(p[0]) + np.diag(p[1, 1:], -1) + np.diag(p[1, 1:], 1)
+    b = np.random.default_rng(n).standard_normal(n)
+    ref = np.linalg.solve(dense, b)
+    y = solver._band_solve(p.tolist(), b.tolist())
+    assert np.max(np.abs(y - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("h, gamma", [(1, 4.5), (2, 4.5), (3, 8.5)])
+def test_band_factor_rejects_indefinite_and_nan(h, gamma):
+    n = 64
+    p = band_matrix(h, gamma, 1.0, 2.0 * gamma + 10.0, n).tolist()
+    assert solver._band_factor(p) is None
+    assert reference_band_solve(p, [1.0] * n) is None
+    p = band_matrix(h, gamma, 1.0, 2.0 * gamma - 0.5, n)
+    assert solver._band_factor(p.tolist()) is not None
+    p[0, n // 2] = math.nan
+    assert solver._band_factor(p.tolist()) is None
+    assert solver._band_solve(p.tolist(), [1.0] * n) is None
+
+
 @pytest.mark.parametrize("alpha, A", [(2.0, 1.0), (2.0, 12.0), (4.0, 12.0),
                                       (4.0, 20.0), (6.0, 30.0)])
 def test_banded_rungs_match_dense(alpha, A):
@@ -130,7 +210,8 @@ def test_alpha2_banded_rungs_lie_above_exact_energy():
 
 
 def test_dense_path_where_the_band_or_temple_fails():
-    for A, alpha, lam in ((12.0, 2.7, 0.1), (0.0, 2.0, 10.0)):
+    # alpha = 8 has a band of four sub-diagonals, beyond the unrolled sweep
+    for A, alpha, lam in ((12.0, 2.7, 0.1), (0.0, 2.0, 10.0), (56.0, 8.0, 1.0)):
         res = solver.ground_state(model.make_params(A, alpha, lam))
         assert all(width is None for _, _, width in res.ladder)
 

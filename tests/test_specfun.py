@@ -224,6 +224,16 @@ def test_bound_report_leaves_numpy_polynomial_unimported():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_fsum_of_list_equals_fsum_of_array():
+    # _unit_sum_em sums its direct terms as a list: fsum is correctly
+    # rounded, so the list is only a faster way to the same float
+    rng = np.random.default_rng(7)
+    decaying = np.cumprod(1.0 - rng.random(4000) / 50.0)
+    mixed = rng.standard_normal(4000) * 10.0 ** rng.integers(-20, 20, 4000)
+    for terms in (decaying, mixed):
+        assert math.fsum(terms.tolist()) == math.fsum(terms)
+
+
 def test_pfq_divergent_raises():
     with pytest.raises(DomainError):
         pfq(HypergeometricSpec((1.0, 1.0), (2.0,), 1.0))     # excess 0

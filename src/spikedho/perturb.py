@@ -2,12 +2,16 @@
 spiked perturbation lam / x^alpha, in three independent ways:
 
 * closed rational/trigamma forms (alpha in {2, 4, 6});
-* hypergeometric forms valid for general alpha;
+* forms valid for general alpha: eps1 as a gamma-function ratio, and eps2
+  as that ratio squared times a 4F3 at unit argument, summed by an
+  integer-shift recurrence of positive terms instead of by `pfq`;
 * brute-force truncations of the sum-over-states formulas, which act as
   oracles for the other two.
 
-Also the squared norm of the first-order wavefunction correction and the
-truncated energy E_p(lam).
+Also the squared norm (phi1, phi1) of the first-order wavefunction
+correction, a unit-argument 5F4 and the one `pfq` of this module (the
+resummation 4F3 of `series` is the other), and the truncated energy
+E_p(lam).
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import model
-from .specfun import DomainError, HypergeometricSpec, ln_gamma, pfq
+from .specfun import (ConvergenceError, DomainError, HypergeometricSpec,
+                      ln_gamma, pfq)
 
 
 class SeriesValue(NamedTuple):
@@ -42,20 +47,78 @@ def epsilon1(alpha: float, gamma: float) -> float:
     return math.exp(ln_gamma(gamma - h) - ln_gamma(gamma))
 
 
+_SHIFT_DECAY = 30.0  # least start and decay power of the direct sums in S
+_SHIFT_TERMS = 500   # term budget of each direct sum
+_EPS_QUARTER = 0.25 * np.finfo(float).eps
+
+
+def _second_order_sum(h: float, gamma: float) -> float:
+    """S(h, gamma) = sum_{j>=1} (h)_j^2 / (j (gamma)_j j!) for gamma > 0
+    and gamma + 1 > 2h, by an integer-shift recurrence of positive terms.
+
+    With D(x) = 2F1(h, h; x+1; 1) - 1 = sum_{j>=1} (h)_j^2 / ((x+1)_j j!),
+    S(h, x) - S(h, x+1) = D(x)/x, and Gauss's sum gives
+    D(x) = (D(x+1) + q)/(1 - q) with q = h^2/(x+1-h)^2, where
+    1 - q = (x+1)(x+1-2h)/(x+1-h)^2 does not cancel as 2h -> x + 1.
+    gamma is shifted up by whole steps to an x0 >= 30 where the terms of
+    S(h, x0) and D(x0) fall from j = 1 and like j^-(x0+2-2h), at least
+    j^-30; both are summed there and the recurrence runs back to gamma.
+    """
+    k = max(_SHIFT_DECAY, _SHIFT_DECAY - 2.0 + 2.0 * h,
+            (h * h + 2.0 * abs(h) - 1.0) / 2.0) - gamma
+    shifts = max(0, math.ceil(k))
+    x = gamma + shifts
+    # The term ratio of S is 1 - N(j)/((j+1)^2 (x+j)) with
+    # N(j) = a j^2 + (2x+1-h^2) j + x, a = x + 2 - 2h; that of D is
+    # 1 - (a j + x+1-h^2)/((j+1)(x+1+j)).  Both ratios are at most
+    # 1 - c/(j+1) <= (j/(j+1))^c for j >= J, with the c_J below, so the
+    # terms after the J-th sum to at most (J-th term) J/(c_J - 1).
+    a = x + 2.0 - 2.0 * h
+    p_s, q_s = (x - h) ** 2 + (x + 1.0 - 2.0 * h), x * (x + 1.0 - 2.0 * h)
+    p_d = (x + 1.0) * (x + 1.0 - 2.0 * h) + h * h
+    t, u = h * h / x, h * h / (x + 1.0)      # the j = 1 terms of S and D
+    s, d = t, u
+    for j in range(1, _SHIFT_TERMS + 1):
+        # c_J < a, so the bound is worth computing only once t J and u J
+        # have fallen below eps/4 a times their sums
+        if t * j <= _EPS_QUARTER * a * s and u * j <= _EPS_QUARTER * a * d:
+            c_s = a - p_s / (j + x + 1.0) - q_s / (j * (j + x + 1.0))
+            c_d = a - p_d / (j + x + 1.0)
+            if (t * j <= _EPS_QUARTER * (c_s - 1.0) * s
+                    and u * j <= _EPS_QUARTER * (c_d - 1.0) * d):
+                break
+        t *= j * (h + j) ** 2 / ((j + 1.0) ** 2 * (x + j))
+        u *= (h + j) ** 2 / ((j + 1.0) * (x + 1.0 + j))
+        s += t
+        d += u
+    else:
+        raise ConvergenceError("S(%r, %r) not converged in %d terms"
+                               % (h, x, _SHIFT_TERMS))
+    for i in range(shifts - 1, -1, -1):
+        x = gamma + i
+        y = x + 1.0
+        d = (d * (y - h) ** 2 + h * h) / (y * (y - 2.0 * h))
+        s += d / x
+    return s
+
+
 def epsilon2_hypergeom(alpha: float, gamma: float) -> float:
-    """Second-order coefficient
-    -(alpha^2/(16 gamma)) (Gamma(gamma-alpha/2)/Gamma(gamma))^2
-      * 4F3(1, 1, 1+alpha/2, 1+alpha/2; 2, 2, gamma+1; 1),
-    valid for alpha < gamma + 1."""
+    """Second-order coefficient -(1/4) (Gamma(gamma-h)/Gamma(gamma))^2 S
+    with h = alpha/2 and S = sum_{j>=1} (h)_j^2 / (j (gamma)_j j!), that is
+    -(alpha^2/(16 gamma)) (Gamma(gamma-h)/Gamma(gamma))^2
+      * 4F3(1, 1, 1+h, 1+h; 2, 2, gamma+1; 1),
+    valid for alpha < gamma + 1.  S comes from the integer-shift
+    recurrence of `_second_order_sum`."""
+    if not (math.isfinite(alpha) and math.isfinite(gamma)):
+        raise DomainError("epsilon2_hypergeom needs finite alpha and gamma, "
+                          "got %r, %r" % (alpha, gamma))
     if alpha >= gamma + 1.0:
         raise DomainError("epsilon2_hypergeom needs alpha < gamma + 1")
     if alpha == 0.0:
         return 0.0
     h = alpha / 2.0
-    f = pfq(HypergeometricSpec((1.0, 1.0, 1.0 + h, 1.0 + h),
-                               (2.0, 2.0, gamma + 1.0), 1.0))
     ratio = math.exp(2.0 * (ln_gamma(gamma - h) - ln_gamma(gamma)))
-    return -(alpha * alpha / (16.0 * gamma)) * ratio * f
+    return -0.25 * ratio * _second_order_sum(h, gamma)
 
 
 _EPS2_GAMMA_MIN = {2: 1.0, 4: 3.0, 6: 5.0}

@@ -13,11 +13,14 @@ on that factor (`_band_substitute`).  The Rayleigh quotient and residual
 are taken on H itself by 2h running sums, and Temple's inequality with
 theta_1 >= 2 gamma + 4 (H >= D) certifies the rung to 8 eps relative.
 A ladder builds the connection factor once, at its largest size, and
-hands each banded rung the leading slices.
-Dense `eigvalsh` serves every other alpha, ladders with
+hands each rung the leading slices.
+A dense rung serves every other alpha, ladders with
 H_00 = 2 gamma + lam eps1 >= 2 gamma + 4 (Temple's bound may not apply),
-and every rung from the first one the banded steps fail to certify.  The
-first rung is always dense; its eigenvector seeds the banded steps.
+and every rung from the first one the banded steps fail to certify.  It
+takes the ground vector x of `eigh` and reports the same positive-sum
+Rayleigh quotient d x^2 + lam |B^T x|^2 as a banded rung, not the
+eigenvalue, which the large entries of lam V cost up to 1e-11.  The
+first rung is always dense; its vector seeds the banded steps.
 """
 
 from __future__ import annotations
@@ -35,7 +38,9 @@ N_START = 32  # basis size of the first rung of the doubling ladder
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    ladder: tuple  # per rung: (size, Ritz value, Temple width or None: dense)
+    # per rung: (size, Ritz value, Temple width); the width is None for a
+    # dense rung, whose value is the Rayleigh quotient of its eigh vector
+    ladder: tuple
     basis_size: int
     delta_last_refinement: float   # estimated remaining truncation error
     ground_energy: float           # tail-corrected ground eigenvalue
@@ -176,34 +181,42 @@ def _banded_rung(x, params, factor, h):
             x[:n - m] -= g[m, m:] * z[m:]
 
 
+def _dense_value(x, params, factor):
+    """Rayleigh quotient of x on H in the positive-sum form
+    (d x^2 + lam |B^T x|^2) / |x|^2, with B^T x from the connection factor:
+    B^T y = right * (T^T (left * y)), T^T as a correlation with t."""
+    left, t, right = factor
+    n = len(x)
+    d = 4.0 * np.arange(n) + 2.0 * params.gamma
+    w = right * np.convolve((left * x)[::-1], t)[n - 1::-1]
+    return float((d @ (x * x) + params.lam * (w @ w)) / (x @ x))
+
+
 def _rungs(params: model.OscillatorParams, sizes):
     """Yield (size, ground Ritz value, Temple width or None for a dense
     rung) for each of the increasing basis sizes."""
     alpha, gamma = params.alpha, params.gamma
+    # each vector is a running product: its prefix is the size-n factor
+    factor = model.connection_factor(alpha, gamma, sizes[-1])
     x = None  # the previous rung's ground vector while the ladder is banded
-    factor = None  # the connection factor at the top size, built once
     for n in sizes:
+        rung_factor = [v[:n] for v in factor]
         if x is not None:
-            # each vector is a running product: its prefix is the size-n factor
-            if factor is None:
-                factor = model.connection_factor(alpha, gamma, sizes[-1])
             out = _banded_rung(np.concatenate((x, np.zeros(n - len(x)))),
-                               params, [v[:n] for v in factor], int(alpha) // 2)
+                               params, rung_factor, int(alpha) // 2)
             if out is not None:
                 value, width, x = out
                 yield n, value, width
                 continue
             x = None
         h = build_hamiltonian(params, n)
+        vec = np.linalg.eigh(h)[1][:, 0]
         # The first rung seeds the banded path where B^-1 has at most four
         # diagonals and Temple's bound applies: H_00 < 2 gamma + 4.
         if (n == sizes[0] and alpha in model.CLOSED_FORM_ALPHAS
                 and h[0, 0] < 2.0 * gamma + 4.0):
-            vals, vecs = np.linalg.eigh(h)
-            x = vecs[:, 0]
-        else:
-            vals = np.linalg.eigvalsh(h)
-        yield n, float(vals[0]), None
+            x = vec
+        yield n, _dense_value(vec, params, rung_factor), None
 
 
 def _aitken_level(seq):

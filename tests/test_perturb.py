@@ -9,7 +9,7 @@ import pytest
 
 from spikedho import model, perturb
 from spikedho.fixtures import matches_printed
-from spikedho.specfun import DomainError, pfq
+from spikedho.specfun import DomainError
 
 
 def rel_err(a, b):
@@ -58,6 +58,85 @@ def test_epsilon2_closed_vs_hypergeom():
             closed = perturb.epsilon2_closed(alpha, g)
             hyp = perturb.epsilon2_hypergeom(float(alpha), g)
             assert rel_err(closed, hyp) < 1e-10
+
+
+# alpha x gamma grid of the S checks, restricted to alpha < gamma + 1.
+# mpmath.hyper spends 36 s on (3.43, 2.5) before it raises NoConvergence,
+# so that point is checked against mp_second_order_sum instead.
+HYPER_GRID = [(a, g) for a in (1.1, 1.3, 2.07, 2.7, 3.007, 3.43, 3.9)
+              for g in (2.5, 3.5, 4.5, 5.5, 12.25, 51.5, 1000.5)
+              if a < g + 1.0 and (a, g) != (3.43, 2.5)]
+
+
+def mp_second_order_sum(mp, alpha, gamma, shift=200):
+    """S(alpha/2, gamma) in mpmath's working precision: the direct sum at
+    gamma + shift, then S(x) = S(x+1) + D(x)/x down to gamma, with
+    D(x) = Gamma(x+1) Gamma(x+1-2h) / Gamma(x+1-h)^2 - 1 by Gauss's sum."""
+    h, g = mp.mpf(alpha) / 2, mp.mpf(gamma)
+    x0 = g + shift
+    s, t, j = mp.mpf(0), h * h / x0, 1
+    while t > mp.eps * s or s == 0:
+        s += t
+        t *= j * (h + j) ** 2 / ((j + 1) ** 2 * (x0 + j))
+        j += 1
+    for i in range(shift - 1, -1, -1):
+        x = g + i
+        d = mp.gamma(x + 1) * mp.gamma(x + 1 - 2 * h) / mp.gamma(x + 1 - h) ** 2
+        s += (d - 1) / x
+    return s
+
+
+@pytest.mark.parametrize("alpha, gamma", HYPER_GRID)
+def test_second_order_sum_vs_mpmath_hyper(alpha, gamma):
+    mp = pytest.importorskip("mpmath")
+    h = alpha / 2.0
+    with mp.workdps(40):
+        try:
+            ref = h * h / mp.mpf(gamma) * mp.hyper(
+                [1, 1, 1 + mp.mpf(h), 1 + mp.mpf(h)], [2, 2, mp.mpf(gamma) + 1], 1)
+        except mp.libmp.NoConvergence:
+            pytest.skip("mpmath.hyper does not converge at this point")
+        assert abs(perturb._second_order_sum(h, gamma) - ref) <= 2e-15 * ref
+
+
+@pytest.mark.parametrize("alpha, gamma", [(3.43, 2.5), (2.7, 4.5), (3.9, 51.5)])
+def test_second_order_sum_vs_mpmath_recurrence(alpha, gamma):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        ref = mp_second_order_sum(mp, alpha, gamma)
+        assert abs(perturb._second_order_sum(alpha / 2.0, gamma) - ref) <= 2e-15 * ref
+
+
+@pytest.mark.parametrize("excess", [1e-3, 1e-6])
+@pytest.mark.parametrize("gamma", [2.5, 4.5, 12.25])
+def test_second_order_sum_near_the_domain_edge(gamma, excess):
+    # S grows like 1/excess as alpha -> gamma + 1; the recurrence takes the
+    # excess as (x+1)(x+1-2h) and keeps its digits
+    mp = pytest.importorskip("mpmath")
+    alpha = gamma + 1.0 - excess
+    with mp.workdps(50):
+        ref = mp_second_order_sum(mp, alpha, gamma)
+        assert abs(perturb._second_order_sum(alpha / 2.0, gamma) - ref) <= 4e-15 * ref
+
+
+def test_epsilon2_hypergeom_at_large_alpha():
+    mp = pytest.importorskip("mpmath")
+    alpha, gamma = 30.0, 40.5
+    value = perturb.epsilon2_hypergeom(alpha, gamma)
+    assert math.isfinite(value)
+    with mp.workdps(50):
+        s = mp_second_order_sum(mp, alpha, gamma)
+        assert abs(perturb._second_order_sum(alpha / 2.0, gamma) - s) <= 1e-13 * s
+        ref = -(mp.gamma(mp.mpf(gamma) - 15) / mp.gamma(mp.mpf(gamma))) ** 2 * s / 4
+        assert abs(value - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("alpha, gamma", [
+    (5.5, 4.5), (6.0, 4.5), (math.nan, 4.5), (2.7, math.nan),
+    (math.inf, 4.5), (-math.inf, 4.5), (2.7, math.inf)])
+def test_epsilon2_hypergeom_domain(alpha, gamma):
+    with pytest.raises(DomainError):
+        perturb.epsilon2_hypergeom(alpha, gamma)
 
 
 def test_epsilon2_closed_vs_series_oracle():
@@ -163,7 +242,7 @@ def test_coefficients_validity_orders():
     assert rel_err(co.eps2, perturb.epsilon2_hypergeom(3.0, 4.5)) < 1e-13
 
 
-def test_coefficients_evaluate_only_the_eps2_hypergeometric(monkeypatch):
+def test_coefficients_evaluate_no_pfq(monkeypatch):
     def no_pfq(spec):
         raise AssertionError("pfq called for %r" % (spec,))
 
@@ -171,12 +250,8 @@ def test_coefficients_evaluate_only_the_eps2_hypergeometric(monkeypatch):
     for alpha in (2.0, 4.0, 6.0):
         co = perturb.coefficients(model.make_params(56.0, alpha, 0.1))
         assert co.valid_order == 3
-    specs = []
-    monkeypatch.setattr(perturb, "pfq",
-                        lambda spec: specs.append(spec) or pfq(spec))
     co = perturb.coefficients(model.make_params(56.0, 2.7, 0.1))
-    assert co.valid_order == 2 and len(specs) == 1
-    assert len(specs[0].numerators) == 4        # the 4F3 of eps2
+    assert co.valid_order == 2
 
 
 def test_energy_series_rejects_unavailable_order():

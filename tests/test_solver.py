@@ -209,6 +209,25 @@ def test_alpha2_banded_rungs_lie_above_exact_energy():
                     assert value >= exact - 1e-13
 
 
+@pytest.mark.parametrize("A, alpha, lam", [(12.0, 6.0, 10.0), (12.0, 6.0, 50.0),
+                                           (4.0, 6.0, 0.1)])
+def test_dense_rung_matches_the_certified_banded_rung(A, alpha, lam):
+    # the dense value is the positive-sum Rayleigh quotient of the eigh
+    # vector; eigvalsh was off by up to 7.8e-12 at these points
+    params = model.make_params(A, alpha, lam)
+    (n, dense, width), = solver._rungs(params, [256])
+    banded = list(solver._rungs(params, [32, 64, 128, 256]))[-1]
+    assert width is None and banded[2] is not None
+    assert abs(dense - banded[1]) <= 1e-14 * banded[1]
+
+
+def test_all_dense_alpha2_ladder_meets_exact_energy():
+    # H_00 = 2 gamma + lam eps1 = 9 >= 2 gamma + 4: every rung is dense
+    res = solver.ground_state(model.make_params(0.0, 2.0, 3.0))
+    assert all(width is None for _, _, width in res.ladder)
+    assert abs(res.ground_energy - (2.0 + math.sqrt(13.0))) <= 2e-13
+
+
 def test_dense_path_where_the_band_or_temple_fails():
     # alpha = 8 has a band of four sub-diagonals, beyond the unrolled sweep
     for A, alpha, lam in ((12.0, 2.7, 0.1), (0.0, 2.0, 10.0), (56.0, 8.0, 1.0)):
